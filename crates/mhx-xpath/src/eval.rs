@@ -1,4 +1,7 @@
-//! XPath evaluation over a KyGODDAG.
+//! The reference interpreter: XPath 1.0 evaluation over a KyGODDAG by
+//! plain axis walks (`all_nodes()`-style scans, no structural index, no
+//! optimizer). Served queries run on the query engine in `mhx-xquery`;
+//! this interpreter is the oracle its differential tests compare against.
 
 use crate::ast::{BinOp, Expr, NodeTest, PathExpr, PathStart, Step};
 use crate::error::{Result, XPathError};
@@ -26,21 +29,9 @@ impl Context {
     }
 }
 
-/// Evaluate an XPath expression string with the KyGODDAG root as context.
-///
-/// Goes through the compiled pipeline (parse → compile → index-backed
-/// evaluation), building a throwaway [`mhx_goddag::StructIndex`]; callers
-/// issuing many queries against one document should use the engine facade
-/// in the root crate, which caches both the index and the compiled plans.
+/// Evaluate an XPath expression string with the KyGODDAG root as context,
+/// through the reference interpreter.
 pub fn evaluate_xpath(g: &Goddag, src: &str) -> Result<Value> {
-    let compiled = crate::plan::CompiledXPath::compile(src)?;
-    let idx = mhx_goddag::index::StructIndex::build(g);
-    compiled.evaluate(g, &idx, &Context::new(NodeId::Root))
-}
-
-/// [`evaluate_xpath`] through the naive interpreter (`all_nodes()` scans) —
-/// the reference oracle for differential tests.
-pub fn evaluate_xpath_naive(g: &Goddag, src: &str) -> Result<Value> {
     let expr = crate::parser::parse(src)?;
     evaluate_expr(g, &expr, &Context::new(NodeId::Root))
 }

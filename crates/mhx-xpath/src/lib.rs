@@ -1,8 +1,7 @@
 //! # mhx-xpath — the extended XPath of WebDB'05 / SIGMOD'06
 //!
-//! A standalone engine for the paper's path language: XPath 1.0 semantics
-//! (node-sets, predicates with `position()`/`last()`, the core function
-//! library) extended with
+//! The paper's path language — XPath 1.0 semantics (node-sets, predicates
+//! with `position()`/`last()`, the core function library) extended with
 //!
 //! * the seven KyGODDAG axes of Definition 1 — `xancestor`, `xdescendant`,
 //!   `xfollowing`, `xpreceding`, `preceding-overlapping`,
@@ -13,6 +12,13 @@
 //! * regex functions `matches` / `replace` / `tokenize` backed by
 //!   `mhx-regex`;
 //! * KyGODDAG helper functions `leaves()`, `hierarchy()`, `leaf-count()`.
+//!
+//! The crate holds three things: the **grammar** ([`parse`] → [`Expr`]),
+//! the **reference interpreter** ([`evaluate_xpath`], plain axis walks, the
+//! oracle of the differential tests) and the **shared step resolution**
+//! ([`plan`]: index-backed candidate lookup per location step). Served
+//! queries do not run here: `mhx-xquery` lowers the parsed [`Expr`] into
+//! its own plan, so one optimizer and one evaluator answer both languages.
 //!
 //! ```
 //! use mhx_goddag::GoddagBuilder;
@@ -39,7 +45,6 @@ pub mod error;
 pub mod eval;
 pub mod functions;
 pub mod lexer;
-pub mod opt;
 pub mod parser;
 pub mod plan;
 pub mod value;
@@ -47,11 +52,10 @@ pub mod value;
 pub use ast::{BinOp, Expr, NodeTest, PathExpr, PathStart, Step};
 pub use error::{Result, XPathError};
 pub use eval::{evaluate_expr, evaluate_xpath, node_test_matches, Context};
-pub use opt::{classify_predicate, OptimizerReport, PredicateClass};
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING_DEPTH};
 pub use plan::{
     choose_strategy, resolve_step, resolve_step_batch, resolve_step_unsorted, walk_step,
-    CompiledXPath, EvalCounters, StepStrategy,
+    walk_step_batch, StepStrategy,
 };
 pub use value::Value;
 

@@ -9,10 +9,19 @@ use crate::error::{Result, XPathError};
 use crate::lexer::{tokenize, SpannedTok, Tok};
 use mhx_goddag::Axis;
 
+/// How deeply a query may nest, in both query languages: every
+/// parenthesized or enclosed expression, predicate, function argument,
+/// unary minus and operator in a chain adds a level (XQuery adds nested
+/// FLWOR, `if` and constructor forms). Deeper input is a parse error, so
+/// every recursive pass over a parsed query — lowering, static checks, the
+/// optimizer, evaluation, serialization — stays well inside a 2 MiB thread
+/// stack.
+pub const MAX_NESTING_DEPTH: usize = 64;
+
 /// Parse a complete XPath expression.
 pub fn parse(src: &str) -> Result<Expr> {
     let toks = tokenize(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, depth: 0 };
     let e = p.expr()?;
     if p.pos < p.toks.len() {
         return Err(p.err("trailing input after expression"));
@@ -23,6 +32,8 @@ pub fn parse(src: &str) -> Result<Expr> {
 pub(crate) struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
+    /// Current nesting level (see [`MAX_NESTING_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -70,32 +81,53 @@ impl Parser {
         matches!(self.peek(), Some(Tok::Name(n)) if n == kw)
     }
 
+    /// Enter one more nesting level. Callers restore `depth` on success;
+    /// an error aborts the whole parse.
+    fn nest(&mut self) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING_DEPTH {
+            return Err(self.err(format!("query nests deeper than {MAX_NESTING_DEPTH} levels")));
+        }
+        Ok(())
+    }
+
     pub(crate) fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        let mark = self.depth;
+        self.nest()?;
+        let e = self.or_expr()?;
+        self.depth = mark;
+        Ok(e)
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
         let mut lhs = self.and_expr()?;
+        let mark = self.depth;
         while self.peek_keyword("or") {
             self.bump();
+            self.nest()?;
             let rhs = self.and_expr()?;
             lhs = Expr::Binary { op: BinOp::Or, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = mark;
         Ok(lhs)
     }
 
     fn and_expr(&mut self) -> Result<Expr> {
         let mut lhs = self.equality_expr()?;
+        let mark = self.depth;
         while self.peek_keyword("and") {
             self.bump();
+            self.nest()?;
             let rhs = self.equality_expr()?;
             lhs = Expr::Binary { op: BinOp::And, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = mark;
         Ok(lhs)
     }
 
     fn equality_expr(&mut self) -> Result<Expr> {
         let mut lhs = self.relational_expr()?;
+        let mark = self.depth;
         loop {
             let op = match self.peek() {
                 Some(Tok::Eq) => BinOp::Eq,
@@ -103,14 +135,17 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.nest()?;
             let rhs = self.relational_expr()?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = mark;
         Ok(lhs)
     }
 
     fn relational_expr(&mut self) -> Result<Expr> {
         let mut lhs = self.additive_expr()?;
+        let mark = self.depth;
         loop {
             let op = match self.peek() {
                 Some(Tok::Lt) => BinOp::Lt,
@@ -120,14 +155,17 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.nest()?;
             let rhs = self.additive_expr()?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = mark;
         Ok(lhs)
     }
 
     fn additive_expr(&mut self) -> Result<Expr> {
         let mut lhs = self.multiplicative_expr()?;
+        let mark = self.depth;
         loop {
             let op = match self.peek() {
                 Some(Tok::Plus) => BinOp::Add,
@@ -135,14 +173,17 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.nest()?;
             let rhs = self.multiplicative_expr()?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = mark;
         Ok(lhs)
     }
 
     fn multiplicative_expr(&mut self) -> Result<Expr> {
         let mut lhs = self.unary_expr()?;
+        let mark = self.depth;
         loop {
             let op = match self.peek() {
                 Some(Tok::Star) => BinOp::Mul,
@@ -151,15 +192,20 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.nest()?;
             let rhs = self.unary_expr()?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = mark;
         Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr> {
         if self.eat(&Tok::Minus) {
-            Ok(Expr::Neg(Box::new(self.unary_expr()?)))
+            self.nest()?;
+            let e = Expr::Neg(Box::new(self.unary_expr()?));
+            self.depth -= 1;
+            Ok(e)
         } else {
             self.union_expr()
         }
@@ -167,10 +213,13 @@ impl Parser {
 
     fn union_expr(&mut self) -> Result<Expr> {
         let mut lhs = self.path_expr()?;
+        let mark = self.depth;
         while self.eat(&Tok::Pipe) {
+            self.nest()?;
             let rhs = self.path_expr()?;
             lhs = Expr::Binary { op: BinOp::Union, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = mark;
         Ok(lhs)
     }
 

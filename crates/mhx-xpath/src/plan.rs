@@ -1,78 +1,22 @@
-//! The compiled query pipeline: parsed paths lowered into step plans that
-//! resolve axes through [`StructIndex`] lookups instead of `all_nodes()`
-//! scans.
+//! Shared step resolution: how one location step obtains its candidate
+//! nodes through [`StructIndex`] lookups instead of `all_nodes()` scans.
 //!
-//! The pipeline splits query processing into
-//!
-//! 1. **parse** ([`crate::parser::parse`]) — text → [`Expr`];
-//! 2. **compile** ([`compile`]) — [`Expr`] → [`CompiledExpr`], choosing a
-//!    [`StepStrategy`] per location step from `(axis, node test)` alone, so
-//!    a compiled expression is document-independent and cacheable (the
-//!    engine facade in the root crate keeps an LRU of these keyed by query
-//!    text);
-//! 3. **evaluate** ([`CompiledXPath::evaluate`] / [`evaluate_compiled`]) —
-//!    plan × goddag × index → value.
-//!
-//! The step resolvers [`resolve_step`] (one context node) and
-//! [`resolve_step_batch`] (a whole context set in one index pass) are
-//! shared with `mhx-xquery`, whose path sub-language compiles its steps
-//! through [`choose_strategy`] as well — both engines answer axis steps
-//! from the same index-backed core. Predicate-free steps take the batch
-//! path, so the document-order sort-dedup happens once per step instead of
-//! once per context node. Predicated steps stay per-node — XPath positions
-//! are assigned within each context node's candidate list — *unless* the
-//! plan-level optimizer ([`crate::opt`]) proved every predicate
-//! position-free and routed the step through the batch path too
-//! ([`StepPlan::preds_position_free`]). The naive interpreter in
-//! [`crate::eval`] stays untouched as the reference oracle for
-//! differential testing.
+//! A step's [`StepStrategy`] is chosen from `(axis, node test)` alone
+//! ([`choose_strategy`]), so a compiled plan stays document-independent
+//! and cacheable. The resolvers are the index-backed core of query
+//! evaluation: [`resolve_step`] answers one context node,
+//! [`resolve_step_batch`] a whole context set in one index pass (one
+//! document-order sort-dedup per step instead of one per context node),
+//! and [`walk_step`] is the plain axis walk. The query engine
+//! (`mhx-xquery`, which also serves XPath text lowered into its plan)
+//! resolves every path step through these functions; the naive
+//! interpreter in [`crate::eval`] does not, which is what makes it a
+//! reference oracle for differential testing.
 
-use crate::ast::{BinOp, Expr, NodeTest, PathExpr, PathStart, Step};
-use crate::error::{Result, XPathError};
-use crate::eval::{node_test_matches, Context};
-use crate::opt::OptimizerReport;
-use crate::value::{compare, Value};
+use crate::ast::NodeTest;
+use crate::eval::node_test_matches;
 use mhx_goddag::index::StructIndex;
 use mhx_goddag::{axis_nodes, Axis, Goddag, NodeId};
-use std::cell::Cell;
-
-/// Per-evaluation step counters, surfaced through the engine stats. `Cell`
-/// so the shared-reference evaluation call chain can increment without
-/// threading `&mut` through every expression case.
-#[derive(Debug, Default)]
-pub struct EvalCounters {
-    /// Steps resolved set-at-a-time (one index pass for the whole context
-    /// set) — predicate-free steps and optimizer-routed position-free
-    /// predicated steps.
-    pub batched_steps: Cell<u64>,
-    /// Steps evaluated from a plan the optimizer rewrote (fused, reordered
-    /// or batch-routed).
-    pub rewritten_steps: Cell<u64>,
-    /// Steps that answered at least one boolean axis predicate through a
-    /// first-witness existential probe instead of materializing the axis.
-    pub early_exit_steps: Cell<u64>,
-    /// Context-independent predicates evaluated once per step instead of
-    /// once per candidate.
-    pub hoisted_preds: Cell<u64>,
-    /// `descendant::a/descendant::b` pairs answered as one containment-
-    /// chain merge join.
-    pub chain_joins: Cell<u64>,
-}
-
-impl EvalCounters {
-    fn count_step(&self, step: &StepPlan, batched: bool) {
-        if batched {
-            self.batched_steps.set(self.batched_steps.get() + 1);
-        }
-        if step.rewritten {
-            self.rewritten_steps.set(self.rewritten_steps.get() + 1);
-        }
-    }
-
-    fn bump(&self, cell: &Cell<u64>) {
-        cell.set(cell.get() + 1);
-    }
-}
 
 /// How one location step obtains its candidate nodes. Chosen at compile
 /// time from the axis and node test only.
@@ -91,8 +35,8 @@ pub enum StepStrategy {
     AxisWalk,
 }
 
-/// Pick the strategy for a step. Shared by the XPath compiler and the
-/// XQuery parser (whose `QStep` carries the same axis/test pair).
+/// Pick the strategy for a step (the XQuery `QStep` constructor calls this
+/// for every step it builds).
 pub fn choose_strategy(axis: Axis, test: &NodeTest) -> StepStrategy {
     match axis {
         Axis::XAncestor
@@ -112,8 +56,7 @@ pub fn choose_strategy(axis: Axis, test: &NodeTest) -> StepStrategy {
 }
 
 /// Candidate nodes for one step from context node `n`, node test already
-/// applied, in Definition-3 order. This is the index-backed core both
-/// engines evaluate path steps through.
+/// applied, in Definition-3 order.
 pub fn resolve_step(
     g: &Goddag,
     idx: &StructIndex,
@@ -181,7 +124,7 @@ pub fn resolve_step_unsorted(
 /// per-context positions, so predicated steps stay on the per-node path.
 ///
 /// `ctxs` is expected in document order without duplicates (the per-step
-/// invariant both evaluators maintain); anything else — e.g. a `(//b,
+/// invariant the evaluator maintains); anything else — e.g. a `(//b,
 /// //a)` path start — is renormalized here first, which is semantics-
 /// preserving because the result is an order-independent union.
 pub fn resolve_step_batch(
@@ -251,557 +194,27 @@ pub fn resolve_step_batch(
         StepStrategy::IndexedExtended => {
             idx.axis_nodes_batch(g, axis, ctxs, |m| node_test_matches(g, axis, m, test))
         }
-        StepStrategy::AxisWalk => {
-            // No set-at-a-time index form for the tree-walk axes; still
-            // hoist the document-order sort-dedup to once per step.
-            let mut out = Vec::new();
-            for &n in ctxs {
-                out.extend(walk_step(g, axis, test, n));
-            }
-            g.sort_nodes(&mut out);
-            out.dedup();
-            out
-        }
+        StepStrategy::AxisWalk => walk_step_batch(g, axis, test, ctxs),
     }
+}
+
+/// [`walk_step`] over a context set: no set-at-a-time index form exists
+/// for the tree-walk axes, but the document-order sort-dedup still runs
+/// once per step instead of once per context node. Needs no index.
+pub fn walk_step_batch(g: &Goddag, axis: Axis, test: &NodeTest, ctxs: &[NodeId]) -> Vec<NodeId> {
+    let mut out: Vec<NodeId> = ctxs.iter().flat_map(|&n| walk_step(g, axis, test, n)).collect();
+    g.sort_nodes(&mut out);
+    out.dedup();
+    out
 }
 
 fn is_doc_ordered(g: &Goddag, ns: &[NodeId]) -> bool {
     ns.windows(2).all(|w| g.cmp_order(w[0], w[1]) == std::cmp::Ordering::Less)
 }
 
-/// One compiled location step.
-#[derive(Debug, Clone)]
-pub struct StepPlan {
-    pub axis: Axis,
-    pub test: NodeTest,
-    pub strategy: StepStrategy,
-    pub predicates: Vec<CompiledExpr>,
-    /// Set by the optimizer when every predicate is position-free: the
-    /// evaluator may resolve the whole context set through
-    /// [`resolve_step_batch`] and filter the deduplicated union once.
-    pub preds_position_free: bool,
-    /// Set by the optimizer on any step it changed (fused, reordered, or
-    /// batch-routed) — drives the `rewritten_steps` engine counter.
-    pub rewritten: bool,
-    /// Per-predicate existential-probe annotation (parallel to
-    /// `predicates` in their stored, post-reorder order): a
-    /// boolean single-step extended-axis predicate answers through
-    /// [`StructIndex::axis_exists`] — first witness, no materialization.
-    /// Only the optimizer fills this in; as-written plans leave it empty.
-    pub pred_probes: Vec<Option<(Axis, NodeTest)>>,
-    /// Per-predicate hoist annotation (parallel to `predicates`):
-    /// context-independent predicates are evaluated once per step instead
-    /// of once per candidate. Optimizer-only, like `pred_probes`.
-    pub pred_hoistable: Vec<bool>,
-    /// Set by the optimizer when this step absorbed a preceding
-    /// predicate-free `descendant::<name>` step: the pair evaluates as one
-    /// containment-chain merge join
-    /// ([`StructIndex::descendant_chain_batch`]) with the stored name as
-    /// the outer chain.
-    pub chain_outer: Option<String>,
-}
-
-impl StepPlan {
-    pub fn new(axis: Axis, test: NodeTest, predicates: Vec<CompiledExpr>) -> StepPlan {
-        let strategy = choose_strategy(axis, &test);
-        StepPlan {
-            axis,
-            test,
-            strategy,
-            predicates,
-            preds_position_free: false,
-            rewritten: false,
-            pred_probes: Vec::new(),
-            pred_hoistable: Vec::new(),
-            chain_outer: None,
-        }
-    }
-}
-
-/// Compiled form of [`PathStart`].
-#[derive(Debug, Clone)]
-pub enum StartPlan {
-    Root,
-    Context,
-    Filter { expr: Box<CompiledExpr>, predicates: Vec<CompiledExpr> },
-}
-
-/// Compiled form of [`PathExpr`].
-#[derive(Debug, Clone)]
-pub struct PathPlan {
-    pub start: StartPlan,
-    pub steps: Vec<StepPlan>,
-}
-
-/// Compiled form of [`Expr`]: identical shape, but every location path is
-/// a [`PathPlan`] with per-step strategies.
-#[derive(Debug, Clone)]
-pub enum CompiledExpr {
-    Literal(String),
-    Number(f64),
-    Var(String),
-    Binary { op: BinOp, lhs: Box<CompiledExpr>, rhs: Box<CompiledExpr> },
-    Neg(Box<CompiledExpr>),
-    Call { name: String, args: Vec<CompiledExpr> },
-    Path(PathPlan),
-}
-
-/// Lower a parsed expression into its compiled form.
-pub fn compile(expr: &Expr) -> CompiledExpr {
-    match expr {
-        Expr::Literal(s) => CompiledExpr::Literal(s.clone()),
-        Expr::Number(n) => CompiledExpr::Number(*n),
-        Expr::Var(v) => CompiledExpr::Var(v.clone()),
-        Expr::Binary { op, lhs, rhs } => CompiledExpr::Binary {
-            op: *op,
-            lhs: Box::new(compile(lhs)),
-            rhs: Box::new(compile(rhs)),
-        },
-        Expr::Neg(e) => CompiledExpr::Neg(Box::new(compile(e))),
-        Expr::Call { name, args } => {
-            CompiledExpr::Call { name: name.clone(), args: args.iter().map(compile).collect() }
-        }
-        Expr::Path(p) => CompiledExpr::Path(compile_path(p)),
-    }
-}
-
-fn compile_path(p: &PathExpr) -> PathPlan {
-    let start = match &p.start {
-        PathStart::Root => StartPlan::Root,
-        PathStart::Context => StartPlan::Context,
-        PathStart::Filter { expr, predicates } => StartPlan::Filter {
-            expr: Box::new(compile(expr)),
-            predicates: predicates.iter().map(compile).collect(),
-        },
-    };
-    let steps = p
-        .steps
-        .iter()
-        .map(|s: &Step| {
-            StepPlan::new(s.axis, s.test.clone(), s.predicates.iter().map(compile).collect())
-        })
-        .collect();
-    PathPlan { start, steps }
-}
-
-/// A parse-and-compile bundle, the unit the engine facade caches. Holds
-/// **both** the plan as written and the optimizer's rewrite of it
-/// (computed eagerly at compile time — a cheap AST transform), so one
-/// cached compilation serves connections with the `optimize` knob on *and*
-/// off: the knob selects a plan at evaluation time, it never forks the
-/// cache key.
-#[derive(Debug, Clone)]
-pub struct CompiledXPath {
-    src: String,
-    plan: CompiledExpr,
-    optimized: CompiledExpr,
-    report: OptimizerReport,
-}
-
-impl CompiledXPath {
-    /// Parse, compile, and optimize `src`.
-    pub fn compile(src: &str) -> Result<CompiledXPath> {
-        let expr = crate::parser::parse(src)?;
-        let plan = compile(&expr);
-        let (optimized, report) = crate::opt::optimize(&plan);
-        Ok(CompiledXPath { src: src.to_string(), plan, optimized, report })
-    }
-
-    /// The original query text (the cache key).
-    pub fn source(&self) -> &str {
-        &self.src
-    }
-
-    /// The plan as written (what `optimize: false` evaluates).
-    pub fn plan(&self) -> &CompiledExpr {
-        &self.plan
-    }
-
-    /// The optimizer's rewrite (what `optimize: true` evaluates).
-    pub fn optimized_plan(&self) -> &CompiledExpr {
-        &self.optimized
-    }
-
-    /// Rewrites the optimizer applied at compile time.
-    pub fn report(&self) -> &OptimizerReport {
-        &self.report
-    }
-
-    /// Evaluate against a goddag and a current index for it, through the
-    /// optimized plan (the default knob setting).
-    pub fn evaluate(&self, g: &Goddag, idx: &StructIndex, ctx: &Context) -> Result<Value> {
-        self.evaluate_with(g, idx, ctx, true, &EvalCounters::default())
-    }
-
-    /// Render the optimized plan against one document: chosen rewrites,
-    /// per-step strategies and annotations, and estimated (from
-    /// [`mhx_goddag::IndexStats`]) vs. **actual** cardinalities — the plan
-    /// is evaluated step by step from the root context to measure them.
-    pub fn explain(&self, g: &Goddag, idx: &StructIndex) -> Result<String> {
-        let r = &self.report;
-        let mut out = format!(
-            "query: {}\nrewrites: {} fused, {} predicate runs reordered, {} batch-routed, \
-             {} existential probes, {} hoisted predicates, {} chain joins\n",
-            self.src,
-            r.fused_steps,
-            r.reordered_predicate_runs,
-            r.batch_routed_steps,
-            r.existential_probes,
-            r.hoisted_predicates,
-            r.chain_join_steps,
-        );
-        let CompiledExpr::Path(p) = &self.optimized else {
-            out.push_str("plan: non-path expression (per-step cardinalities not applicable)\n");
-            return Ok(out);
-        };
-        let ctx = Context::new(NodeId::Root);
-        let k = EvalCounters::default();
-        let mut current: Vec<NodeId> = match &p.start {
-            StartPlan::Root => {
-                out.push_str("start: / (1 node)\n");
-                vec![NodeId::Root]
-            }
-            StartPlan::Context => {
-                out.push_str("start: context (1 node)\n");
-                vec![ctx.node]
-            }
-            StartPlan::Filter { expr, predicates } => {
-                let v = eval_expr(g, idx, expr, &ctx, &k)?;
-                let Value::Nodes(mut ns) = v else {
-                    out.push_str("start: filter expression (non-node value)\n");
-                    return Ok(out);
-                };
-                for pred in predicates {
-                    ns = apply_predicate(g, idx, &ns, pred, &ctx, false, &k)?;
-                }
-                out.push_str(&format!("start: filter expression ({} nodes)\n", ns.len()));
-                ns
-            }
-        };
-        let stats = idx.stats();
-        for (i, step) in p.steps.iter().enumerate() {
-            let estimate = match &step.test {
-                NodeTest::Name { name, .. } => format!("{}", stats.name_count(name)),
-                NodeTest::AnyElement { .. } => format!("{}", stats.element_count()),
-                _ => "?".into(),
-            };
-            current = eval_step(g, idx, &current, step, &ctx, &k)?;
-            let chain = match &step.chain_outer {
-                Some(outer) => format!(" chain-join(outer descendant::{outer})"),
-                None => String::new(),
-            };
-            out.push_str(&format!(
-                "step {}: {}::{}{} [{:?}{}] est {} actual {}\n",
-                i + 1,
-                step.axis.name(),
-                step.test,
-                chain,
-                step.strategy,
-                if step.preds_position_free { ", batch" } else { "" },
-                estimate,
-                current.len(),
-            ));
-            for (pi, pred) in step.predicates.iter().enumerate() {
-                let how = if step.pred_probes.get(pi).is_some_and(Option::is_some) {
-                    "existential probe"
-                } else if step.pred_hoistable.get(pi).copied().unwrap_or(false) {
-                    "hoisted (evaluated once)"
-                } else if step.preds_position_free {
-                    "position-free filter"
-                } else {
-                    "per-candidate"
-                };
-                out.push_str(&format!(
-                    "  predicate {}: {} — {}\n",
-                    pi + 1,
-                    crate::opt::expr_summary(pred),
-                    how
-                ));
-            }
-        }
-        Ok(out)
-    }
-
-    /// [`CompiledXPath::evaluate`] with an explicit plan choice and step
-    /// counters — the engine facade's entry point.
-    pub fn evaluate_with(
-        &self,
-        g: &Goddag,
-        idx: &StructIndex,
-        ctx: &Context,
-        optimize: bool,
-        counters: &EvalCounters,
-    ) -> Result<Value> {
-        debug_assert!(idx.is_current(g), "stale index passed to compiled evaluation");
-        let plan = if optimize { &self.optimized } else { &self.plan };
-        eval_expr(g, idx, plan, ctx, counters)
-    }
-}
-
-/// Evaluate a compiled expression. Mirrors [`crate::eval::evaluate_expr`]
-/// except that path steps go through [`resolve_step`].
-pub fn evaluate_compiled(
-    g: &Goddag,
-    idx: &StructIndex,
-    expr: &CompiledExpr,
-    ctx: &Context,
-) -> Result<Value> {
-    eval_expr(g, idx, expr, ctx, &EvalCounters::default())
-}
-
-fn eval_expr(
-    g: &Goddag,
-    idx: &StructIndex,
-    expr: &CompiledExpr,
-    ctx: &Context,
-    k: &EvalCounters,
-) -> Result<Value> {
-    match expr {
-        CompiledExpr::Literal(s) => Ok(Value::Str(s.clone())),
-        CompiledExpr::Number(n) => Ok(Value::Num(*n)),
-        CompiledExpr::Var(v) => ctx
-            .variables
-            .get(v)
-            .cloned()
-            .ok_or_else(|| XPathError::new(format!("unbound variable ${v}"))),
-        CompiledExpr::Neg(e) => Ok(Value::Num(-eval_expr(g, idx, e, ctx, k)?.to_num(g))),
-        CompiledExpr::Binary { op, lhs, rhs } => eval_binary(g, idx, *op, lhs, rhs, ctx, k),
-        CompiledExpr::Call { name, args } => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_expr(g, idx, a, ctx, k)?);
-            }
-            crate::functions::dispatch(g, name, &vals, ctx)
-        }
-        CompiledExpr::Path(p) => eval_path(g, idx, p, ctx, k),
-    }
-}
-
-fn eval_binary(
-    g: &Goddag,
-    idx: &StructIndex,
-    op: BinOp,
-    lhs: &CompiledExpr,
-    rhs: &CompiledExpr,
-    ctx: &Context,
-    k: &EvalCounters,
-) -> Result<Value> {
-    match op {
-        BinOp::Or => {
-            if eval_expr(g, idx, lhs, ctx, k)?.to_bool() {
-                return Ok(Value::Bool(true));
-            }
-            Ok(Value::Bool(eval_expr(g, idx, rhs, ctx, k)?.to_bool()))
-        }
-        BinOp::And => {
-            if !eval_expr(g, idx, lhs, ctx, k)?.to_bool() {
-                return Ok(Value::Bool(false));
-            }
-            Ok(Value::Bool(eval_expr(g, idx, rhs, ctx, k)?.to_bool()))
-        }
-        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let a = eval_expr(g, idx, lhs, ctx, k)?;
-            let b = eval_expr(g, idx, rhs, ctx, k)?;
-            Ok(Value::Bool(compare(g, op, &a, &b)))
-        }
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-            let a = eval_expr(g, idx, lhs, ctx, k)?.to_num(g);
-            let b = eval_expr(g, idx, rhs, ctx, k)?.to_num(g);
-            Ok(Value::Num(match op {
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
-                BinOp::Div => a / b,
-                BinOp::Mod => a % b,
-                _ => unreachable!("arithmetic ops"),
-            }))
-        }
-        BinOp::Union => {
-            let a = eval_expr(g, idx, lhs, ctx, k)?;
-            let b = eval_expr(g, idx, rhs, ctx, k)?;
-            match (a, b) {
-                (Value::Nodes(mut xs), Value::Nodes(ys)) => {
-                    xs.extend(ys);
-                    Ok(Value::nodes(xs, g))
-                }
-                _ => Err(XPathError::new("`|` requires node-sets on both sides")),
-            }
-        }
-    }
-}
-
-fn eval_path(
-    g: &Goddag,
-    idx: &StructIndex,
-    p: &PathPlan,
-    ctx: &Context,
-    k: &EvalCounters,
-) -> Result<Value> {
-    let mut current: Vec<NodeId> = match &p.start {
-        StartPlan::Root => vec![NodeId::Root],
-        StartPlan::Context => vec![ctx.node],
-        StartPlan::Filter { expr, predicates } => {
-            let v = eval_expr(g, idx, expr, ctx, k)?;
-            if p.steps.is_empty() && predicates.is_empty() {
-                return Ok(v);
-            }
-            let Value::Nodes(ns) = v else {
-                return Err(XPathError::new("filter/path expression requires a node-set operand"));
-            };
-            let mut ns = ns;
-            for pred in predicates {
-                ns = apply_predicate(g, idx, &ns, pred, ctx, false, k)?;
-            }
-            ns
-        }
-    };
-    for step in &p.steps {
-        current = eval_step(g, idx, &current, step, ctx, k)?;
-    }
-    Ok(Value::nodes(current, g))
-}
-
-fn eval_step(
-    g: &Goddag,
-    idx: &StructIndex,
-    input: &[NodeId],
-    step: &StepPlan,
-    outer: &Context,
-    k: &EvalCounters,
-) -> Result<Vec<NodeId>> {
-    // Containment-chain join: this step absorbed a predicate-free
-    // `descendant::<outer>` step, so the pair resolves as one merge join
-    // over the laminar containment chains instead of two sequential
-    // descendant scans. Any surviving predicates are position-free by the
-    // fusion rule and filter the joined set once.
-    if let (Some(outer_name), NodeTest::Name { name, .. }) = (&step.chain_outer, &step.test) {
-        k.count_step(step, true);
-        k.bump(&k.chain_joins);
-        let candidates = idx.descendant_chain_batch(g, outer_name, name, input);
-        return apply_free_predicates(g, idx, candidates, step, outer, k);
-    }
-    // Predicate-free steps take the whole context set through the index in
-    // one pass.
-    if step.predicates.is_empty() {
-        k.count_step(step, true);
-        return Ok(resolve_step_batch(g, idx, step.strategy, step.axis, &step.test, input));
-    }
-    // Optimizer-routed steps: every predicate is position-free, so
-    // filtering the deduplicated union once equals filtering per context
-    // node and unioning (set filters commute with union).
-    if step.preds_position_free {
-        k.count_step(step, true);
-        let candidates = resolve_step_batch(g, idx, step.strategy, step.axis, &step.test, input);
-        return apply_free_predicates(g, idx, candidates, step, outer, k);
-    }
-    // Positional steps stay per-node: `position()` is assigned within each
-    // context node's candidate list.
-    k.count_step(step, false);
-    let mut out: Vec<NodeId> = Vec::new();
-    for &n in input {
-        let mut candidates = resolve_step(g, idx, step.strategy, step.axis, &step.test, n);
-        for pred in &step.predicates {
-            candidates =
-                apply_predicate(g, idx, &candidates, pred, outer, step.axis.is_reverse(), k)?;
-        }
-        out.extend(candidates);
-    }
-    g.sort_nodes(&mut out);
-    out.dedup();
-    Ok(out)
-}
-
-/// Apply an all-position-free predicate list to a batched candidate union,
-/// honouring the optimizer's annotations:
-///
-/// * the predicates run in [`crate::opt::stats_order`] — the index's real
-///   name frequencies decide which filter goes first, not the fixed weight
-///   table (position-free filters commute, so any order is correct);
-/// * a hoistable (context-independent) predicate is evaluated **once**;
-///   `false` empties the step, `true` is a no-op filter;
-/// * a probe-annotated predicate calls [`StructIndex::axis_exists`] per
-///   candidate — first-witness early exit, no axis materialization;
-/// * everything else falls back to [`apply_predicate`].
-///
-/// Only optimizer-routed steps reach this path, so the annotation arrays
-/// (when non-empty) are parallel to `step.predicates` in written order.
-fn apply_free_predicates(
-    g: &Goddag,
-    idx: &StructIndex,
-    mut candidates: Vec<NodeId>,
-    step: &StepPlan,
-    outer: &Context,
-    k: &EvalCounters,
-) -> Result<Vec<NodeId>> {
-    if step.predicates.is_empty() {
-        return Ok(candidates);
-    }
-    let mut used_probe = false;
-    for pi in crate::opt::stats_order(&step.predicates, idx.stats()) {
-        if candidates.is_empty() {
-            break;
-        }
-        let pred = &step.predicates[pi];
-        if step.pred_hoistable.get(pi).copied().unwrap_or(false) {
-            let v = eval_expr(g, idx, pred, outer, k)?;
-            // Hoisted predicates are statically never numeric; keep the
-            // positional shorthand safe anyway by falling through to the
-            // per-candidate rule if a number shows up at runtime.
-            if !matches!(v, Value::Num(_)) {
-                k.bump(&k.hoisted_preds);
-                if !v.to_bool() {
-                    candidates.clear();
-                    break;
-                }
-                continue;
-            }
-        }
-        if let Some(Some((axis, test))) = step.pred_probes.get(pi) {
-            let axis = *axis;
-            candidates
-                .retain(|&m| idx.axis_exists(g, axis, m, |w| node_test_matches(g, axis, w, test)));
-            used_probe = true;
-            continue;
-        }
-        candidates = apply_predicate(g, idx, &candidates, pred, outer, step.axis.is_reverse(), k)?;
-    }
-    if used_probe {
-        k.bump(&k.early_exit_steps);
-    }
-    Ok(candidates)
-}
-
-/// Compiled twin of [`crate::eval::apply_predicate`].
-fn apply_predicate(
-    g: &Goddag,
-    idx: &StructIndex,
-    candidates: &[NodeId],
-    pred: &CompiledExpr,
-    outer: &Context,
-    reverse: bool,
-    k: &EvalCounters,
-) -> Result<Vec<NodeId>> {
-    let size = candidates.len();
-    let mut out = Vec::with_capacity(size);
-    for (i, &m) in candidates.iter().enumerate() {
-        let position = if reverse { size - i } else { i + 1 };
-        let ctx = Context { node: m, position, size, variables: outer.variables.clone() };
-        let v = eval_expr(g, idx, pred, &ctx, k)?;
-        let keep = match v {
-            Value::Num(n) => (position as f64) == n,
-            other => other.to_bool(),
-        };
-        if keep {
-            out.push(m);
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::evaluate_expr;
     use mhx_goddag::GoddagBuilder;
 
     fn figure1() -> Goddag {
@@ -838,38 +251,6 @@ mod tests {
             choose_strategy(Axis::Descendant, &NodeTest::AnyNode { hierarchies: None }),
             StepStrategy::AxisWalk
         );
-    }
-
-    #[test]
-    fn compiled_equals_naive_on_paper_queries() {
-        let g = figure1();
-        let idx = StructIndex::build(&g);
-        for src in [
-            "/descendant::line[xdescendant::w[string(.) = 'singallice'] or \
-             overlapping::w[string(.) = 'singallice']]",
-            "/descendant::line[xdescendant::w[xancestor::dmg or xdescendant::dmg or \
-             overlapping::dmg]]",
-            "/descendant::line[1]/descendant::leaf()",
-            "/descendant::leaf()[ancestor::w and ancestor::dmg]",
-            "/descendant::w[last()]/preceding::w[1]",
-            "/descendant::w[position() = 2]",
-            "/descendant::node(\"damage\")",
-            "/descendant::*(\"words\")",
-            "/descendant::line | /descendant::w[1]",
-            "//vline//w",
-            "(/descendant::w)[3]",
-            "count(/descendant::leaf())",
-            "/descendant::w[1]/../.",
-            "/descendant-or-self::r",
-            "string-length(string(/descendant::w[3]))",
-        ] {
-            let expr = crate::parser::parse(src).unwrap();
-            let ctx = Context::new(NodeId::Root);
-            let naive = evaluate_expr(&g, &expr, &ctx).unwrap();
-            let compiled = CompiledXPath::compile(src).unwrap();
-            let fast = compiled.evaluate(&g, &idx, &ctx).unwrap();
-            assert_eq!(fast, naive, "compiled and naive disagree on `{src}`");
-        }
     }
 
     #[test]
@@ -952,21 +333,5 @@ mod tests {
         );
         assert_eq!(sorted, renormalized);
         assert!(!sorted.is_empty());
-    }
-
-    #[test]
-    fn compiled_reusable_across_documents() {
-        let compiled = CompiledXPath::compile("/descendant::w").unwrap();
-        let g1 = figure1();
-        let idx1 = StructIndex::build(&g1);
-        let v1 = compiled.evaluate(&g1, &idx1, &Context::new(NodeId::Root)).unwrap();
-        let Value::Nodes(ns1) = v1 else { panic!() };
-        assert_eq!(ns1.len(), 6);
-
-        let g2 = GoddagBuilder::new().hierarchy("a", "<r><w>x</w></r>").build().unwrap();
-        let idx2 = StructIndex::build(&g2);
-        let v2 = compiled.evaluate(&g2, &idx2, &Context::new(NodeId::Root)).unwrap();
-        let Value::Nodes(ns2) = v2 else { panic!() };
-        assert_eq!(ns2.len(), 1);
     }
 }

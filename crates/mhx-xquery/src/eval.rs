@@ -27,10 +27,11 @@ pub struct EvalOptions {
     /// serializing the result sequence (standard XQuery serialization).
     /// Off by default: the paper's printed outputs concatenate directly.
     pub space_separator: bool,
-    /// Run queries through the plan-level optimizer ([`crate::opt`] /
-    /// `mhx_xpath::opt`): predicate reordering, `//x` fusion, and
-    /// set-at-a-time routing of position-free predicated steps. **On by
-    /// default**; flip off per connection to A/B the same cached plan.
+    /// Run queries through the plan-level optimizer ([`crate::opt`]):
+    /// predicate reordering, `//x` fusion, set-at-a-time routing of
+    /// position-free predicated steps, probes, hoisting and chain joins.
+    /// **On by default**; flip off per connection to A/B the same cached
+    /// plan.
     pub optimize: bool,
 }
 
@@ -40,8 +41,8 @@ impl Default for EvalOptions {
     }
 }
 
-/// Per-evaluation step counters (the XQuery twin of
-/// `mhx_xpath::plan::EvalCounters`), surfaced through the engine stats.
+/// Per-evaluation step counters, surfaced through the engine stats (the
+/// root crate sums them per catalog and per session).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Steps resolved set-at-a-time — predicate-free steps over pure node
@@ -61,6 +62,19 @@ pub struct EvalStats {
     /// `descendant::a/descendant::b` pairs answered as one containment-
     /// chain merge join.
     pub chain_joins: u64,
+}
+
+impl EvalStats {
+    /// Fold another snapshot's counters into this one — how a connection
+    /// accumulates totals across its short-lived per-request sessions.
+    pub fn absorb(&mut self, other: &EvalStats) {
+        self.batched_steps += other.batched_steps;
+        self.rewritten_steps += other.rewritten_steps;
+        self.plan_rewrites += other.plan_rewrites;
+        self.early_exit_steps += other.early_exit_steps;
+        self.hoisted_preds += other.hoisted_preds;
+        self.chain_joins += other.chain_joins;
+    }
 }
 
 /// Variable bindings + focus (context item, position, size).
@@ -176,16 +190,8 @@ impl<'g> Evaluator<'g> {
     /// `analyze-string()` mutation — can run between context nodes.
     fn step_candidates_batch(&mut self, step: &QStep, ctxs: &[NodeId]) -> Vec<NodeId> {
         if step.strategy == StepStrategy::AxisWalk {
-            // The plain walk never touches the index; skip (re)builds and
-            // hoist the document-order sort-dedup to once per step.
-            let g = self.g.as_ref();
-            let mut out = Vec::new();
-            for &n in ctxs {
-                out.extend(plan::walk_step(g, step.axis, &step.test, n));
-            }
-            g.sort_nodes(&mut out);
-            out.dedup();
-            return out;
+            // The plain walk never touches the index; skip (re)builds.
+            return plan::walk_step_batch(self.g.as_ref(), step.axis, &step.test, ctxs);
         }
         self.ensure_index();
         let g = self.g.as_ref();
@@ -327,7 +333,7 @@ impl<'g> Evaluator<'g> {
                 }
                 Ok(items)
             }
-            QExpr::Path { start, steps } => self.eval_path(start, steps, env),
+            QExpr::Path { start, steps } => self.eval_path(start, steps, env, None),
             QExpr::DirElem(d) => {
                 let o = self.eval_constructor(d, env)?;
                 Ok(vec![Item::ONode(o)])
@@ -589,7 +595,15 @@ impl<'g> Evaluator<'g> {
 
     // ---------- paths ----------
 
-    fn eval_path(&mut self, start: &QPathStart, steps: &[QStep], env: &Env) -> Result<Sequence> {
+    /// Evaluate a path; with `counts`, also record each step's result
+    /// cardinality (what `explain` reports as "actual").
+    pub(crate) fn eval_path(
+        &mut self,
+        start: &QPathStart,
+        steps: &[QStep],
+        env: &Env,
+        mut counts: Option<&mut Vec<usize>>,
+    ) -> Result<Sequence> {
         let mut current: Sequence = match start {
             QPathStart::Root => vec![Item::Node(NodeId::Root)],
             QPathStart::Context => match &env.focus {
@@ -600,6 +614,9 @@ impl<'g> Evaluator<'g> {
         };
         for step in steps {
             current = self.eval_step(&current, step, env)?;
+            if let Some(counts) = counts.as_deref_mut() {
+                counts.push(current.len());
+            }
         }
         Ok(current)
     }
@@ -703,26 +720,41 @@ impl<'g> Evaluator<'g> {
         reverse: bool,
     ) -> Result<Sequence> {
         let size = items.len();
+        // `[n]` and `[last()]` select by position alone: pick the one
+        // candidate instead of evaluating the predicate per candidate.
+        let shorthand = match pred {
+            QExpr::Number(n) => Some(*n),
+            QExpr::Call { name, args } if name == "last" && args.is_empty() => Some(size as f64),
+            _ => None,
+        };
+        if let Some(n) = shorthand {
+            if n.fract() != 0.0 || n < 1.0 || n > size as f64 {
+                return Ok(Vec::new());
+            }
+            let index = if reverse { size - n as usize } else { n as usize - 1 };
+            return Ok(items.into_iter().nth(index).into_iter().collect());
+        }
+        // One focus frame for the whole list: each candidate moves in and,
+        // when kept, back out — no per-candidate environment clone.
+        let mut frame = env.clone();
         let mut out = Vec::with_capacity(size);
         for (i, item) in items.into_iter().enumerate() {
             let position = if reverse { size - i } else { i + 1 };
-            let mut env2 = env.clone();
-            env2.focus = Some((item.clone(), position, size));
-            let v = self.eval(pred, &env2)?;
+            frame.focus = Some((item, position, size));
+            let v = self.eval(pred, &frame)?;
             let keep = match v.as_slice() {
                 [Item::Num(n)] => (position as f64) == *n,
                 other => self.ebv(other)?,
             };
             if keep {
-                out.push(item);
+                out.extend(frame.focus.take().map(|(item, _, _)| item));
             }
         }
         Ok(out)
     }
 
     /// Apply an all-free (position-free, pure) predicate list to a batched
-    /// candidate set, honouring the optimizer's annotations — the XQuery
-    /// twin of `mhx_xpath::plan`'s free-predicate path:
+    /// candidate set, honouring the optimizer's annotations:
     ///
     /// * predicates run in [`crate::opt::stats_order`] (per-document name
     ///   frequencies, not the fixed weight table);

@@ -7,6 +7,11 @@
 //! overlap existing markup can be related to the document structure with
 //! `xancestor`/`overlapping`/… axes.
 //!
+//! The crate is the one query engine behind both languages: XQuery text is
+//! parsed by [`parse_query`], extended-XPath text by `mhx_xpath::parse` and
+//! lowered into the same plan by [`lower`]; [`CompiledXQuery`] optimizes
+//! either once and evaluates it with one evaluator.
+//!
 //! ```
 //! use mhx_goddag::GoddagBuilder;
 //! use mhx_xquery::run_query;
@@ -35,6 +40,7 @@ pub mod error;
 pub mod eval;
 pub mod functions;
 pub mod item;
+pub mod lower;
 pub mod opt;
 pub mod parser;
 pub mod serialize;
@@ -46,7 +52,7 @@ pub use eval::{Env, EvalOptions, EvalStats, Evaluator};
 pub use item::{Item, Sequence};
 pub use parser::parse_query;
 
-use mhx_goddag::Goddag;
+use mhx_goddag::{Goddag, NodeId, StructIndex};
 
 /// Run a query against a KyGODDAG and serialize the result (paper-style:
 /// items concatenated without separators).
@@ -57,91 +63,50 @@ pub fn run_query(g: &Goddag, src: &str) -> Result<String> {
     run_query_with(g, src, &EvalOptions::default())
 }
 
-/// [`run_query`] with options.
+/// [`run_query`] with options. Compiles per call; repeat executions of
+/// one query should keep the [`CompiledXQuery`] — that is what the engine
+/// facade in the root crate caches.
 pub fn run_query_with(g: &Goddag, src: &str, opts: &EvalOptions) -> Result<String> {
-    let ast = parse_query(src)?;
-    run_parsed_with(g, &ast, opts)
-}
-
-/// Run an already-parsed query, skipping the re-parse but optimizing per
-/// call. Repeat executions of one query should go through
-/// [`CompiledXQuery`] instead, which runs the optimizer once and carries
-/// both plan forms — that is what the engine facade in the root crate
-/// caches.
-pub fn run_parsed_with(g: &Goddag, ast: &QExpr, opts: &EvalOptions) -> Result<String> {
-    run_parsed_collecting(g, None, ast, opts).map(|(out, _)| out)
-}
-
-/// [`run_parsed_with`] sharing a pre-built structural index for `g`, so
-/// repeated queries against one document skip the per-query index build.
-pub fn run_parsed_with_index(
-    g: &Goddag,
-    idx: &mhx_goddag::StructIndex,
-    ast: &QExpr,
-    opts: &EvalOptions,
-) -> Result<String> {
-    run_parsed_collecting(g, Some(idx), ast, opts).map(|(out, _)| out)
-}
-
-/// Evaluate `ast` on an existing evaluator, applying the plan-level
-/// optimizer when `opts.optimize` is on — the single optimize-or-not
-/// branch every ad-hoc entry point shares. (Cached plans skip the
-/// per-call rewrite: see [`CompiledXQuery`].)
-fn eval_with_options(ev: &mut Evaluator<'_>, ast: &QExpr, opts: &EvalOptions) -> Result<Sequence> {
-    if opts.optimize {
-        let (optimized, report) = opt::optimize(ast);
-        ev.stats.plan_rewrites = report.total() as u64;
-        ev.eval(&optimized, &Env::default())
-    } else {
-        ev.eval(ast, &Env::default())
-    }
-}
-
-/// Run a parsed query (optionally with a shared pre-built index),
-/// applying the plan-level optimizer when `opts.optimize` is on, and
-/// return the serialized result together with the evaluation's step
-/// counters. Optimizes per call; repeat executions should go through
-/// [`CompiledXQuery`], which caches the rewrite.
-pub fn run_parsed_collecting(
-    g: &Goddag,
-    idx: Option<&mhx_goddag::StructIndex>,
-    ast: &QExpr,
-    opts: &EvalOptions,
-) -> Result<(String, EvalStats)> {
-    let mut ev = match idx {
-        Some(idx) => Evaluator::with_index(g, idx, opts.clone()),
-        None => Evaluator::new(g, opts.clone()),
-    };
-    let seq = eval_with_options(&mut ev, ast, opts)?;
-    let out = serialize::serialize_sequence(&ev, &seq);
-    Ok((out, *ev.stats()))
+    Ok(CompiledXQuery::compile(src)?.run(g, None, opts)?.serialized)
 }
 
 /// Run a query and return one serialized string per top-level result item
 /// (the paper's "sequence of strings" output form).
 pub fn run_query_sequence(g: &Goddag, src: &str, opts: &EvalOptions) -> Result<Vec<String>> {
-    let ast = parse_query(src)?;
-    let mut ev = Evaluator::new(g, opts.clone());
-    let seq = eval_with_options(&mut ev, &ast, opts)?;
-    Ok(serialize::serialize_items(&ev, &seq))
+    let (ev, items) = CompiledXQuery::compile(src)?.evaluate(g, None, opts)?;
+    Ok(serialize::serialize_items(&ev, &items))
 }
 
-/// A parse-and-optimize bundle mirroring `mhx_xpath::CompiledXPath`: holds
-/// **both** the query as parsed and the optimizer's rewrite of it
-/// (computed once, up front), so the engine facade's cached plans serve
-/// connections with the `optimize` knob on *and* off without re-running
-/// the rewrite per execution — the knob selects an AST at evaluation
-/// time, it never forks the cache key.
+/// One evaluation of a [`CompiledXQuery`]: the result items, their
+/// serialized form (rendered by the evaluator that produced them — the
+/// only one whose output arena holds the constructed nodes), and the
+/// evaluation's step counters.
+#[derive(Debug, Clone)]
+pub struct QueryRun {
+    pub items: Sequence,
+    pub serialized: String,
+    pub stats: EvalStats,
+}
+
+/// A compiled query, the unit the engine facade caches. Holds **both** the
+/// plan as written and the optimizer's rewrite of it (computed once, up
+/// front), so one cached plan serves connections with the `optimize` knob
+/// on *and* off — the knob selects a plan at evaluation time, it never
+/// forks the cache key.
 #[derive(Debug, Clone)]
 pub struct CompiledXQuery {
     src: String,
     ast: QExpr,
     optimized: QExpr,
     report: opt::OptimizerReport,
+    /// XPath's initial focus: plans lowered from XPath evaluate with the
+    /// root node as the context item (position 1 of 1). XQuery plans have
+    /// no initial focus.
+    root_focus: bool,
 }
 
 impl CompiledXQuery {
-    /// Parse and optimize `src`.
+    /// Parse and optimize XQuery `src`.
     pub fn compile(src: &str) -> Result<CompiledXQuery> {
         Ok(CompiledXQuery::from_ast(src.to_string(), parse_query(src)?))
     }
@@ -150,7 +115,13 @@ impl CompiledXQuery {
     /// the optimizer once.
     pub fn from_ast(src: String, ast: QExpr) -> CompiledXQuery {
         let (optimized, report) = opt::optimize(&ast);
-        CompiledXQuery { src, ast, optimized, report }
+        CompiledXQuery { src, ast, optimized, report, root_focus: false }
+    }
+
+    /// Lower a parsed XPath expression ([`lower`]) and optimize it; the
+    /// plan evaluates from the root as XPath's initial context node.
+    pub fn from_xpath(src: String, expr: &mhx_xpath::Expr) -> CompiledXQuery {
+        CompiledXQuery { root_focus: true, ..CompiledXQuery::from_ast(src, lower::lower(expr)) }
     }
 
     /// The original query text (the cache key).
@@ -158,7 +129,7 @@ impl CompiledXQuery {
         &self.src
     }
 
-    /// The query as parsed (what `optimize: false` evaluates).
+    /// The query as written (what `optimize: false` evaluates).
     pub fn ast(&self) -> &QExpr {
         &self.ast
     }
@@ -173,22 +144,45 @@ impl CompiledXQuery {
         &self.report
     }
 
-    /// Render the optimized plan: chosen rewrites, per-step strategies
-    /// and annotations, and cardinality estimates from `stats` (pass a
-    /// document's [`mhx_goddag::IndexStats`] for real numbers).
-    pub fn explain(&self, stats: Option<&mhx_goddag::IndexStats>) -> String {
-        opt::explain(&self.optimized, &self.report, &self.src, stats)
+    fn initial_env(&self) -> Env {
+        let focus = self.root_focus.then_some((Item::Node(NodeId::Root), 1, 1));
+        Env { focus, ..Env::default() }
     }
 
-    /// Run against a goddag (optionally sharing a pre-built index),
-    /// selecting the plan by `opts.optimize`, and return the serialized
-    /// result with the evaluation's step counters.
-    pub fn run_with_index(
+    /// Render the optimized plan against one document: chosen rewrites,
+    /// per-step strategies and annotations, cardinality estimates from the
+    /// document's [`mhx_goddag::IndexStats`], and the **actual** per-step
+    /// cardinalities of every top-level path that starts at the root (or
+    /// at the initial focus) and calls no `analyze-string()` — such a path
+    /// is evaluated step by step to measure them.
+    pub fn explain(&self, g: &Goddag, idx: &StructIndex) -> String {
+        let mut ev = Evaluator::with_index(g, idx, EvalOptions::default());
+        let env = self.initial_env();
+        opt::explain(&self.optimized, &self.report, &self.src, idx.stats(), |start, steps| {
+            let from_focus = match start {
+                ast::QPathStart::Root => true,
+                ast::QPathStart::Context => env.focus.is_some(),
+                ast::QPathStart::Expr(_) => false,
+            };
+            let pure = steps.iter().all(|s| !s.predicates.iter().any(QExpr::uses_analyze_string));
+            if !(from_focus && pure) {
+                return None;
+            }
+            let mut counts = Vec::with_capacity(steps.len());
+            ev.eval_path(start, steps, &env, Some(&mut counts)).ok().map(|_| counts)
+        })
+    }
+
+    /// Evaluate against a goddag (optionally sharing a pre-built index),
+    /// selecting the plan by `opts.optimize`. Returns the evaluator with
+    /// the result: it owns the output arena constructed nodes live in and
+    /// the step counters.
+    pub fn evaluate<'g>(
         &self,
-        g: &Goddag,
-        idx: Option<&mhx_goddag::StructIndex>,
+        g: &'g Goddag,
+        idx: Option<&'g StructIndex>,
         opts: &EvalOptions,
-    ) -> Result<(String, EvalStats)> {
+    ) -> Result<(Evaluator<'g>, Sequence)> {
         let mut ev = match idx {
             Some(idx) => Evaluator::with_index(g, idx, opts.clone()),
             None => Evaluator::new(g, opts.clone()),
@@ -199,9 +193,20 @@ impl CompiledXQuery {
         } else {
             &self.ast
         };
-        let seq = ev.eval(ast, &Env::default())?;
-        let out = serialize::serialize_sequence(&ev, &seq);
-        Ok((out, *ev.stats()))
+        let items = ev.eval(ast, &self.initial_env())?;
+        Ok((ev, items))
+    }
+
+    /// [`CompiledXQuery::evaluate`], then serialize the result.
+    pub fn run(
+        &self,
+        g: &Goddag,
+        idx: Option<&StructIndex>,
+        opts: &EvalOptions,
+    ) -> Result<QueryRun> {
+        let (ev, items) = self.evaluate(g, idx, opts)?;
+        let serialized = serialize::serialize_sequence(&ev, &items);
+        Ok(QueryRun { items, serialized, stats: *ev.stats() })
     }
 }
 
@@ -590,7 +595,91 @@ mod engine_tests {
     }
 
     #[test]
+    fn explain_measures_paths_from_the_root_or_the_focus() {
+        let g = figure1();
+        let idx = StructIndex::build(&g);
+        let q = CompiledXQuery::compile(
+            "for $w in //w[overlapping::line] return count($w/xancestor::res)",
+        )
+        .unwrap();
+        let text = q.explain(&g, &idx);
+        // The root path is evaluated step by step: one word straddles a line.
+        assert!(text.contains("step 1: descendant::w [NameIndex, batch] est 6 actual 1"), "{text}");
+        // A path starting at a variable has estimates only.
+        let var_step = text.lines().find(|l| l.contains("xancestor::res")).unwrap();
+        assert!(!var_step.contains("actual"), "{text}");
+
+        // XPath plans start at the root focus, so relative paths measure too.
+        let expr = mhx_xpath::parse("descendant::w[2]").unwrap();
+        let text = CompiledXQuery::from_xpath("descendant::w[2]".into(), &expr).explain(&g, &idx);
+        assert!(text.contains("path 1: start context") && text.contains("actual 1"), "{text}");
+    }
+
+    #[test]
     fn union_in_xquery() {
         assert_eq!(run("count(/descendant::line | /descendant::vline)"), "5");
+    }
+
+    /// The reference interpreter's value as the item sequence the lowered
+    /// plan must produce.
+    fn reference_items(v: mhx_xpath::Value) -> Sequence {
+        match v {
+            mhx_xpath::Value::Nodes(ns) => ns.into_iter().map(Item::Node).collect(),
+            mhx_xpath::Value::Str(s) => vec![Item::Str(s)],
+            mhx_xpath::Value::Num(n) => vec![Item::Num(n)],
+            mhx_xpath::Value::Bool(b) => vec![Item::Bool(b)],
+        }
+    }
+
+    #[test]
+    fn compiled_equals_naive_on_paper_queries() {
+        let g = figure1();
+        let idx = StructIndex::build(&g);
+        for src in [
+            "/descendant::line[xdescendant::w[string(.) = 'singallice'] or \
+             overlapping::w[string(.) = 'singallice']]",
+            "/descendant::line[xdescendant::w[xancestor::dmg or xdescendant::dmg or \
+             overlapping::dmg]]",
+            "/descendant::line[1]/descendant::leaf()",
+            "/descendant::leaf()[ancestor::w and ancestor::dmg]",
+            "/descendant::w[last()]/preceding::w[1]",
+            "/descendant::w[position() = 2]",
+            "/descendant::node(\"damage\")",
+            "/descendant::*(\"words\")",
+            "/descendant::line | /descendant::w[1]",
+            "//vline//w",
+            "(/descendant::w)[3]",
+            "count(/descendant::leaf())",
+            "/descendant::w[1]/../.",
+            "/descendant-or-self::r",
+            "string-length(string(/descendant::w[3]))",
+        ] {
+            let naive = reference_items(mhx_xpath::evaluate_xpath(&g, src).unwrap());
+            let plan = CompiledXQuery::from_xpath(src.into(), &mhx_xpath::parse(src).unwrap());
+            for optimize in [false, true] {
+                let opts = EvalOptions { optimize, ..Default::default() };
+                let (_, items) = plan.evaluate(&g, Some(&idx), &opts).unwrap();
+                assert_eq!(items, naive, "lowered (optimize={optimize}) vs reference on `{src}`");
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_reusable_across_documents() {
+        let plan = CompiledXQuery::from_xpath(
+            "/descendant::w".into(),
+            &mhx_xpath::parse("/descendant::w").unwrap(),
+        );
+        let g1 = figure1();
+        let idx1 = StructIndex::build(&g1);
+        let (_, items1) = plan.evaluate(&g1, Some(&idx1), &EvalOptions::default()).unwrap();
+        assert_eq!(items1.len(), 6);
+
+        let g2 =
+            mhx_goddag::GoddagBuilder::new().hierarchy("a", "<r><w>x</w></r>").build().unwrap();
+        let idx2 = StructIndex::build(&g2);
+        let (_, items2) = plan.evaluate(&g2, Some(&idx2), &EvalOptions::default()).unwrap();
+        assert_eq!(items2.len(), 1);
+        assert!(items1.iter().chain(&items2).all(Item::is_node));
     }
 }

@@ -1,28 +1,119 @@
-//! Plan-level optimizer for the XQuery AST — the XQuery twin of
-//! `mhx_xpath::opt`, applied to [`QExpr`] path expressions.
+//! Plan-level optimizer: plan-to-plan rewrites over [`QExpr`] path
+//! expressions, shared by both front ends (XPath text is lowered into the
+//! same AST by [`crate::lower`]).
 //!
-//! Same three rewrites, same legality argument (see the `mhx-xpath`
-//! module docs for the full rule): predicate **classification**
-//! (position-free vs positional), cheapest-first **reordering** within
-//! position-free runs, set-at-a-time **batch routing** for steps whose
-//! predicates are all position-free, and `//x` chain **fusion** into
-//! indexed `descendant::x` scans.
+//! Evaluation leaves predicates as written and resolves every predicated
+//! step per context node, because `position()`/`last()` are assigned
+//! within each context node's candidate list. On the extended axes that
+//! is expensive: an `xfollowing::*[xancestor::page]` step pays span-index
+//! lookups per context node per candidate. The rewrites recover the
+//! set-at-a-time path for predicates that cannot observe the focus:
 //!
-//! One extra requirement on top of the XPath rules: XQuery predicates can
-//! mutate the copy-on-write KyGODDAG through `analyze-string()` (temporary
-//! hierarchies installed mid-query), and the per-node path makes that
-//! mutation visible to *subsequent context nodes* of the same step. Batch
-//! routing and fusion therefore also require the predicates to be **pure**
-//! ([`QExpr::uses_analyze_string`] is false) — an impure predicate pins
-//! the step to the per-node path so the mutation interleaving stays
-//! exactly as written.
+//! 1. **Classification** ([`classify_predicate`]): a predicate is
+//!    *position-free* when it references neither `position()` nor `last()`
+//!    in the current focus (nested predicates get a fresh focus and do not
+//!    count) **and** its statically known type can never be numeric (a
+//!    numeric predicate value is the `[2]` position shorthand). Anything of
+//!    unknown type is conservatively *positional*.
+//! 2. **Step fusion**: the parsers desugar `//x` to
+//!    `descendant-or-self::node()/child::x`; when the second step's
+//!    predicates are all free, the pair fuses to one indexed
+//!    `descendant::x` scan.
+//! 3. **Containment-chain join**: a predicate-free `descendant::a`
+//!    followed by `descendant::b` becomes one merge join.
+//! 4. **Reordering**: within each run of consecutive free predicates,
+//!    cheapest first ([`stats_order`] re-prices named scans per document
+//!    at evaluation time). Free filters commute, and a run never crosses a
+//!    positional predicate.
+//! 5. **Batch routing**: a step whose predicates are all free resolves the
+//!    whole context set in one index pass and filters the deduplicated
+//!    union once.
+//! 6. **Existential probes and hoisting** on batch-routed steps: a
+//!    boolean single-step extended-axis predicate stops at the first
+//!    witness; a context-independent predicate is evaluated once per step.
+//!
+//! Predicates can mutate the copy-on-write KyGODDAG through
+//! `analyze-string()` (temporary hierarchies installed mid-query), and the
+//! per-node path makes that mutation visible to *subsequent context nodes*
+//! of the same step. "Free" therefore also means **pure**
+//! ([`QExpr::uses_analyze_string`] is false): an impure predicate pins the
+//! step to the per-node path so the mutation interleaving stays exactly as
+//! written.
+//!
+//! Every rewrite is proved invisible by `tests/plan_optimizer_differential.rs`
+//! (optimized == as-written on random documents and predicate mixes); the
+//! `optimize` knob on [`crate::EvalOptions`] selects either plan of one
+//! compiled query.
 
 use crate::ast::{AttrPiece, Clause, Comp, Content, DirElem, QExpr, QPathStart, QStep};
 use mhx_goddag::{Axis, IndexStats};
-use mhx_xpath::opt::step_cost;
-use mhx_xpath::{NodeTest, PredicateClass, StepStrategy};
+use mhx_xpath::{NodeTest, StepStrategy};
 
-pub use mhx_xpath::OptimizerReport;
+/// The optimizer's verdict on one predicate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PredicateClass {
+    /// Cannot observe `position()`/`last()` and can never evaluate to a
+    /// number: safe to reorder among its position-free neighbours and to
+    /// apply set-at-a-time over a batched candidate union.
+    PositionFree,
+    /// Everything else (including conservatively-unknown expressions).
+    Positional,
+}
+
+/// Counts of rewrites applied to one compiled query. Surfaced through
+/// [`crate::CompiledXQuery::report`] and the engine stats.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OptimizerReport {
+    /// `descendant-or-self::node()/child::x` pairs collapsed into a single
+    /// indexed `descendant::x` scan.
+    pub fused_steps: u32,
+    /// Predicate runs whose order changed (cheapest-first).
+    pub reordered_predicate_runs: u32,
+    /// Predicated steps routed through the set-at-a-time batch path.
+    pub batch_routed_steps: u32,
+    /// Boolean single-step extended-axis predicates annotated to answer
+    /// through a first-witness `axis_exists` probe.
+    pub existential_probes: u32,
+    /// Context-independent predicates annotated for once-per-step
+    /// hoisting out of the per-candidate loop.
+    pub hoisted_predicates: u32,
+    /// `descendant::a/descendant::b` pairs fused into one containment-
+    /// chain merge join.
+    pub chain_join_steps: u32,
+}
+
+impl OptimizerReport {
+    /// Total rewrites applied (0 = the plan was already optimal).
+    pub fn total(&self) -> u32 {
+        self.fused_steps
+            + self.reordered_predicate_runs
+            + self.batch_routed_steps
+            + self.existential_probes
+            + self.hoisted_predicates
+            + self.chain_join_steps
+    }
+}
+
+/// Relative cost of resolving one step — dimensionless weights used only
+/// to order free predicates cheapest-first.
+pub fn step_cost(strategy: StepStrategy, axis: Axis) -> u64 {
+    match strategy {
+        // Span-index interval lookups — the expensive extended axes.
+        StepStrategy::IndexedExtended => 64,
+        // One name-run / leaf-run intersection.
+        StepStrategy::NameIndex | StepStrategy::LeafRange => 24,
+        StepStrategy::AxisWalk => match axis {
+            Axis::SelfAxis | Axis::Attribute | Axis::Parent => 2,
+            Axis::Child
+            | Axis::FollowingSibling
+            | Axis::PrecedingSibling
+            | Axis::Ancestor
+            | Axis::AncestorOrSelf => 6,
+            // Whole-subtree / whole-document walks.
+            _ => 48,
+        },
+    }
+}
 
 /// Classify one XQuery predicate (see module docs).
 pub fn classify_predicate(pred: &QExpr) -> PredicateClass {
@@ -146,64 +237,70 @@ fn static_type(e: &QExpr) -> Ty {
     }
 }
 
-/// Relative cost weights for ordering position-free predicates — the same
-/// scale as `mhx_xpath::opt::predicate_cost`.
-fn cost(e: &QExpr) -> u64 {
+/// Relative cost weights for ordering free predicates. With a document's
+/// `stats`, named scans are priced at the document's actual name
+/// frequency instead of the fixed [`step_cost`] weight.
+fn cost(e: &QExpr, stats: Option<&IndexStats>) -> u64 {
+    let c = |x: &QExpr| cost(x, stats);
     match e {
         QExpr::Literal(_) | QExpr::Number(_) | QExpr::Var(_) | QExpr::ContextItem => 1,
-        QExpr::Sequence(es) => 1 + es.iter().map(cost).sum::<u64>(),
+        QExpr::Sequence(es) => 1 + es.iter().map(c).sum::<u64>(),
         QExpr::Flwor { clauses, ret } => {
             4 + clauses
                 .iter()
-                .map(|c| match c {
-                    Clause::For { seq, .. } => cost(seq),
-                    Clause::Let { expr, .. } => cost(expr),
-                    Clause::Where(e) => cost(e),
-                    Clause::OrderBy { keys } => keys.iter().map(|k| cost(&k.key)).sum(),
+                .map(|cl| match cl {
+                    Clause::For { seq, .. } => c(seq),
+                    Clause::Let { expr, .. } => c(expr),
+                    Clause::Where(e) => c(e),
+                    Clause::OrderBy { keys } => keys.iter().map(|k| c(&k.key)).sum(),
                 })
                 .sum::<u64>()
-                + cost(ret)
+                + c(ret)
         }
-        QExpr::If { cond, then, els } => 1 + cost(cond) + cost(then).max(cost(els)),
+        QExpr::If { cond, then, els } => 1 + c(cond) + c(then).max(c(els)),
         QExpr::Quantified { binds, satisfies, .. } => {
-            2 + binds.iter().map(|(_, e)| cost(e)).sum::<u64>() + cost(satisfies)
+            2 + binds.iter().map(|(_, e)| c(e)).sum::<u64>() + c(satisfies)
         }
-        QExpr::Or(a, b) | QExpr::And(a, b) | QExpr::Union(a, b) => 1 + cost(a) + cost(b),
-        QExpr::Compare { lhs, rhs, .. } | QExpr::Arith { lhs, rhs, .. } => {
-            1 + cost(lhs) + cost(rhs)
-        }
-        QExpr::Range { lo, hi } => 1 + cost(lo) + cost(hi),
-        QExpr::Neg(inner) => 1 + cost(inner),
+        QExpr::Or(a, b) | QExpr::And(a, b) | QExpr::Union(a, b) => 1 + c(a) + c(b),
+        QExpr::Compare { lhs, rhs, .. } | QExpr::Arith { lhs, rhs, .. } => 1 + c(lhs) + c(rhs),
+        QExpr::Range { lo, hi } => 1 + c(lo) + c(hi),
+        QExpr::Neg(inner) => 1 + c(inner),
         QExpr::Call { name, args } => {
             let base = match name.as_str() {
+                // Regex compilation per call.
                 "matches" | "replace" | "tokenize" | "analyze-string" => 16,
                 _ => 2,
             };
-            base + args.iter().map(cost).sum::<u64>()
+            base + args.iter().map(c).sum::<u64>()
         }
         QExpr::Path { start, steps } => {
             let start_cost = match start {
-                QPathStart::Expr(e) => cost(e),
+                QPathStart::Expr(e) => c(e),
                 QPathStart::Root | QPathStart::Context => 0,
             };
             start_cost
                 + steps
                     .iter()
                     .map(|s| {
-                        step_cost(s.strategy, s.axis) + s.predicates.iter().map(cost).sum::<u64>()
+                        let fixed = step_cost(s.strategy, s.axis);
+                        let step = match (&s.test, stats) {
+                            (NodeTest::Name { name, .. }, Some(st)) if fixed > 8 => {
+                                2 + st.name_count(name)
+                            }
+                            _ => fixed,
+                        };
+                        step + s.predicates.iter().map(c).sum::<u64>()
                     })
                     .sum::<u64>()
         }
-        QExpr::Filter { base, predicates } => {
-            1 + cost(base) + predicates.iter().map(cost).sum::<u64>()
-        }
+        QExpr::Filter { base, predicates } => 1 + c(base) + predicates.iter().map(c).sum::<u64>(),
         QExpr::DirElem(_) => 8,
     }
 }
 
-/// Optimize a parsed query. The input is untouched; the engine runs this
+/// Optimize a query plan. The input is untouched; the engine runs this
 /// once at compile time ([`crate::CompiledXQuery`] carries both forms),
-/// so a cached parse serves both knob settings without key forking.
+/// so a cached plan serves both knob settings without key forking.
 pub fn optimize(ast: &QExpr) -> (QExpr, OptimizerReport) {
     let mut report = OptimizerReport::default();
     let out = opt_expr(ast, &mut report);
@@ -351,8 +448,7 @@ fn opt_path(start: &QPathStart, steps: &[QStep], r: &mut OptimizerReport) -> QEx
     }
     steps = fused;
 
-    // Pass 1b — containment-chain join, mirroring `mhx_xpath::opt`: a
-    // predicate-free `descendant::a` followed by `descendant::b` (plain
+    // Pass 1b — containment-chain join: a predicate-free `descendant::a` followed by `descendant::b` (plain
     // name tests) collapses into one merge join over the laminar
     // containment chains. The inner step's predicates must all be free
     // (position-free *and* pure) — the join hands the evaluator the
@@ -423,8 +519,7 @@ fn is_dos_any_node(s: &QStep) -> bool {
         && s.predicates.is_empty()
 }
 
-/// Plain `descendant::name` — the chain-join shape (same rule as the
-/// XPath optimizer).
+/// Plain `descendant::name` — the chain-join shape.
 fn is_plain_descendant_name(s: &QStep) -> bool {
     s.axis == Axis::Descendant
         && matches!(&s.test, NodeTest::Name { hierarchies: None, .. })
@@ -432,7 +527,7 @@ fn is_plain_descendant_name(s: &QStep) -> bool {
 }
 
 /// The existential-probe shape: a relative single-step extended-axis path
-/// with no predicates of its own. Same rule as `mhx_xpath::opt::probe_of`.
+/// with no predicates of its own.
 fn probe_of(pred: &QExpr) -> Option<(Axis, NodeTest)> {
     let QExpr::Path { start: QPathStart::Context, steps } = pred else { return None };
     let [step] = steps.as_slice() else { return None };
@@ -443,9 +538,8 @@ fn probe_of(pred: &QExpr) -> Option<(Axis, NodeTest)> {
 }
 
 /// Can the expression's value depend on the focus (context item, position,
-/// size)? `false` ⇒ safe to evaluate once per step. Mirrors
-/// `mhx_xpath::opt::is_context_independent`, extended over the XQuery
-/// forms; direct constructors conservatively stay per-candidate.
+/// size)? `false` ⇒ safe to evaluate once per step. Direct constructors
+/// conservatively stay per-candidate.
 pub fn is_context_independent(e: &QExpr) -> bool {
     match e {
         QExpr::Literal(_) | QExpr::Number(_) | QExpr::Var(_) => true,
@@ -496,64 +590,15 @@ pub fn is_context_independent(e: &QExpr) -> bool {
 }
 
 /// Evaluation order for an all-free predicate list, decided per document
-/// from the index statistics — the XQuery twin of
-/// `mhx_xpath::opt::stats_order`.
+/// from the index statistics.
 pub fn stats_order(preds: &[QExpr], stats: &IndexStats) -> Vec<usize> {
     if preds.len() < 2 {
         return (0..preds.len()).collect();
     }
     let mut order: Vec<usize> = (0..preds.len()).collect();
-    let costs: Vec<u64> = preds.iter().map(|p| stats_cost(p, stats)).collect();
+    let costs: Vec<u64> = preds.iter().map(|p| cost(p, Some(stats))).collect();
     order.sort_by_key(|&i| costs[i]);
     order
-}
-
-/// [`cost`] with named-scan steps priced at the document's actual name
-/// frequency.
-fn stats_cost(e: &QExpr, stats: &IndexStats) -> u64 {
-    match e {
-        QExpr::Path { start, steps } => {
-            let start_cost = match start {
-                QPathStart::Expr(e) => stats_cost(e, stats),
-                QPathStart::Root | QPathStart::Context => 0,
-            };
-            start_cost
-                + steps
-                    .iter()
-                    .map(|s| {
-                        let fixed = step_cost(s.strategy, s.axis);
-                        let step = match &s.test {
-                            NodeTest::Name { name, .. } if fixed > 8 => 2 + stats.name_count(name),
-                            _ => fixed,
-                        };
-                        step + s.predicates.iter().map(|q| stats_cost(q, stats)).sum::<u64>()
-                    })
-                    .sum::<u64>()
-        }
-        QExpr::Sequence(es) => 1 + es.iter().map(|x| stats_cost(x, stats)).sum::<u64>(),
-        QExpr::Or(a, b) | QExpr::And(a, b) | QExpr::Union(a, b) => {
-            1 + stats_cost(a, stats) + stats_cost(b, stats)
-        }
-        QExpr::Compare { lhs, rhs, .. } | QExpr::Arith { lhs, rhs, .. } => {
-            1 + stats_cost(lhs, stats) + stats_cost(rhs, stats)
-        }
-        QExpr::Range { lo, hi } => 1 + stats_cost(lo, stats) + stats_cost(hi, stats),
-        QExpr::Neg(inner) => 1 + stats_cost(inner, stats),
-        QExpr::Call { name, args } => {
-            let base = match name.as_str() {
-                "matches" | "replace" | "tokenize" | "analyze-string" => 16,
-                _ => 2,
-            };
-            base + args.iter().map(|a| stats_cost(a, stats)).sum::<u64>()
-        }
-        QExpr::Filter { base, predicates } => {
-            1 + stats_cost(base, stats)
-                + predicates.iter().map(|q| stats_cost(q, stats)).sum::<u64>()
-        }
-        // The remaining forms have no name-frequency component; reuse the
-        // fixed weights.
-        _ => cost(e),
-    }
 }
 
 /// A one-line human summary of a query sub-expression, for `--explain`
@@ -622,15 +667,16 @@ pub fn qexpr_summary(e: &QExpr) -> String {
 }
 
 /// Render the optimizer's plan for a query: the rewrite summary, then
-/// every path in the optimized AST with per-step strategies, annotations
-/// and cardinality estimates from the document's [`IndexStats`]. XQuery
-/// plans are not pre-evaluated (predicates may bind variables or mutate
-/// the goddag), so unlike the XPath explain this reports estimates only.
+/// every path in the optimized AST with per-step strategies, annotations,
+/// cardinality estimates from the document's [`IndexStats`], and — where
+/// `actual` can measure the path (it returns one count per step) — the
+/// actual per-step cardinalities.
 pub fn explain(
     optimized: &QExpr,
     report: &OptimizerReport,
     src: &str,
-    stats: Option<&IndexStats>,
+    stats: &IndexStats,
+    mut actual: impl FnMut(&QPathStart, &[QStep]) -> Option<Vec<usize>>,
 ) -> String {
     let mut out = format!(
         "query: {}\nrewrites: {} fused, {} predicate runs reordered, {} batch-routed, \
@@ -656,18 +702,23 @@ pub fn explain(
             QPathStart::Expr(e) => format!("({})", qexpr_summary(e)),
         };
         out.push_str(&format!("path {}: start {}\n", pi + 1, start_desc));
+        let counts = actual(start, steps);
         for (i, step) in steps.iter().enumerate() {
-            let estimate = match (&step.test, stats) {
-                (NodeTest::Name { name, .. }, Some(s)) => format!("{}", s.name_count(name)),
-                (NodeTest::AnyElement { .. }, Some(s)) => format!("{}", s.element_count()),
+            let estimate = match &step.test {
+                NodeTest::Name { name, .. } => format!("{}", stats.name_count(name)),
+                NodeTest::AnyElement { .. } => format!("{}", stats.element_count()),
                 _ => "?".into(),
             };
             let chain = match &step.chain_outer {
                 Some(outer) => format!(" chain-join(outer descendant::{outer})"),
                 None => String::new(),
             };
+            let measured = match counts.as_ref().and_then(|c| c.get(i)) {
+                Some(n) => format!(" actual {n}"),
+                None => String::new(),
+            };
             out.push_str(&format!(
-                "  step {}: {}::{}{} [{:?}{}] est {}\n",
+                "  step {}: {}::{}{} [{:?}{}] est {}{}\n",
                 i + 1,
                 step.axis.name(),
                 step.test,
@@ -675,6 +726,7 @@ pub fn explain(
                 step.strategy,
                 if step.preds_position_free { ", batch" } else { "" },
                 estimate,
+                measured,
             ));
             for (qi, pred) in step.predicates.iter().enumerate() {
                 let how = if step.pred_probes.get(qi).is_some_and(Option::is_some) {
@@ -768,7 +820,7 @@ fn reorder_free_runs(preds: &mut [QExpr]) -> u32 {
         }
         let run = &mut preds[start..i];
         if run.len() > 1 {
-            let costs: Vec<u64> = run.iter().map(cost).collect();
+            let costs: Vec<u64> = run.iter().map(|p| cost(p, None)).collect();
             if costs.windows(2).any(|w| w[0] > w[1]) {
                 let mut keyed: Vec<(u64, QExpr)> =
                     costs.into_iter().zip(run.iter().cloned()).collect();
@@ -797,73 +849,260 @@ mod tests {
     }
 
     #[test]
-    fn classification_mirrors_xpath_rules() {
-        for (src, expected) in [
-            ("/descendant::w[xancestor::p]", PredicateClass::PositionFree),
-            ("/descendant::w[string(.) = 'a']", PredicateClass::PositionFree),
-            ("/descendant::w[2]", PredicateClass::Positional),
-            ("/descendant::w[position() = 2]", PredicateClass::Positional),
-            ("/descendant::w[last()]", PredicateClass::Positional),
-            ("/descendant::w[count(child::a)]", PredicateClass::Positional),
-            // position() read through a FLWOR clause still pins the step.
-            (
-                "/descendant::w[some $x in (position()) satisfies $x = 1]",
-                PredicateClass::Positional,
-            ),
-        ] {
-            let ast = parse_query(src).unwrap();
-            let pred = &path_steps(&ast)[0].predicates[0];
-            assert_eq!(classify_predicate(pred), expected, "classifying predicate of `{src}`");
-        }
-    }
-
-    #[test]
     fn impure_predicates_stay_per_node() {
         let ast = parse_query("/descendant::w[analyze-string(., 'a')/child::m]").unwrap();
         let (opt, report) = optimize(&ast);
         let step = &path_steps(&opt)[0];
         assert!(!step.preds_position_free, "analyze-string predicates must stay per-node");
         assert_eq!(report.batch_routed_steps, 0);
+        // Nor is it hoisted, though it is an absolute path underneath.
+        assert_eq!(report.hoisted_predicates, 0);
+        assert!(step.pred_hoistable.is_empty());
+    }
+
+    /// The XPath front end: parse with the XPath grammar, then lower.
+    fn xpath(src: &str) -> QExpr {
+        crate::lower::lower(&mhx_xpath::parse(src).unwrap())
+    }
+
+    /// The same text through both front ends.
+    fn both(src: &str) -> [QExpr; 2] {
+        [xpath(src), parse_query(src).unwrap()]
     }
 
     #[test]
-    fn fusion_and_batch_routing_applied() {
-        let ast = parse_query("//vline//w[xancestor::dmg]").unwrap();
-        let (opt, report) = optimize(&ast);
+    fn classification_table() {
+        // (predicate source, expected class), through the XPath front end.
+        for (src, expected) in [
+            ("/descendant::w[xancestor::p]", PredicateClass::PositionFree),
+            ("/descendant::w[@n]", PredicateClass::PositionFree),
+            ("/descendant::w[string(.) = 'a']", PredicateClass::PositionFree),
+            ("/descendant::w[contains(string(.), 'a')]", PredicateClass::PositionFree),
+            ("/descendant::w[child::a or xdescendant::b]", PredicateClass::PositionFree),
+            // Nested positional predicates get a fresh focus: still free.
+            ("/descendant::w[xancestor::p[1]]", PredicateClass::PositionFree),
+            ("/descendant::w[2]", PredicateClass::Positional),
+            ("/descendant::w[position() = 2]", PredicateClass::Positional),
+            ("/descendant::w[last()]", PredicateClass::Positional),
+            ("/descendant::w[position() < last()]", PredicateClass::Positional),
+            ("/descendant::w[count(child::a)]", PredicateClass::Positional),
+            ("/descendant::w[$v]", PredicateClass::Positional),
+            ("/descendant::w[string-length(string(.)) - 2]", PredicateClass::Positional),
+            // position() inside a function argument still reads the focus.
+            ("/descendant::w[string(position()) = '1']", PredicateClass::Positional),
+        ] {
+            for plan in both(src) {
+                let pred = &path_steps(&plan)[0].predicates[0];
+                assert_eq!(classify_predicate(pred), expected, "classifying predicate of `{src}`");
+            }
+        }
+        // position() read through an XQuery clause still pins the step.
+        let ast = parse_query("/descendant::w[some $x in (position()) satisfies $x = 1]").unwrap();
+        assert_eq!(
+            classify_predicate(&path_steps(&ast)[0].predicates[0]),
+            PredicateClass::Positional
+        );
+    }
+
+    #[test]
+    fn reorder_is_cheapest_first_and_stops_at_positional() {
+        let (opt, report) =
+            optimize(&xpath("/descendant::w[xancestor::p][@n][2][xfollowing::q][@m]"));
+        let step = &path_steps(&opt)[0];
+        // Run 1 (before the positional [2]): @n now precedes xancestor::p.
+        // Run 2 (after it): @m precedes xfollowing::q.
+        let shown: Vec<String> = step.predicates.iter().map(|p| format!("{p:?}")).collect();
+        assert!(shown[0].contains("Attribute"), "cheap attribute test first: {shown:?}");
+        assert!(shown[1].contains("XAncestor"), "extended axis second: {shown:?}");
+        assert!(shown[2].contains("Number"), "positional barrier untouched: {shown:?}");
+        assert!(shown[3].contains("Attribute"), "cheap test first in run 2: {shown:?}");
+        assert!(shown[4].contains("XFollowing"), "extended axis last: {shown:?}");
+        assert_eq!(report.reordered_predicate_runs, 2);
+        // A positional predicate anywhere keeps the step off the batch path.
+        assert!(!step.preds_position_free);
+    }
+
+    #[test]
+    fn fusion_collapses_slashslash_chains() {
+        for plan in both("//vline//w[xancestor::p]") {
+            let (opt, report) = optimize(&plan);
+            let steps = path_steps(&opt);
+            // 4 desugared walks fuse to 2 indexed scans, then the scan pair
+            // collapses into one containment-chain merge join.
+            assert_eq!(steps.len(), 1, "fused chain joined to one step: {steps:?}");
+            assert_eq!(steps[0].axis, Axis::Descendant);
+            assert_eq!(steps[0].strategy, StepStrategy::NameIndex);
+            assert_eq!(steps[0].chain_outer.as_deref(), Some("vline"));
+            assert_eq!(report.fused_steps, 2);
+            assert_eq!(report.chain_join_steps, 1);
+            assert!(steps[0].preds_position_free, "position-free predicate batch-routed");
+            // The boolean extended-axis predicate is probe-annotated.
+            assert_eq!(report.existential_probes, 1);
+            assert!(steps[0].pred_probes[0].is_some());
+        }
+    }
+
+    #[test]
+    fn fusion_blocked_by_positional_predicate() {
+        // `//w[2]` means "second w child of each node" — not fusable.
+        let (opt, report) = optimize(&xpath("//w[2]"));
         let steps = path_steps(&opt);
-        // Fused to two indexed scans, then chain-joined into one step —
-        // the same cascade as the XPath optimizer.
-        assert_eq!(steps.len(), 1);
-        assert_eq!(steps[0].strategy, StepStrategy::NameIndex);
-        assert_eq!(steps[0].chain_outer.as_deref(), Some("vline"));
-        assert!(steps[0].preds_position_free);
-        assert_eq!(report.fused_steps, 2);
-        assert_eq!(report.chain_join_steps, 1);
-        // The boolean extended-axis predicate is probe-annotated.
-        assert_eq!(report.existential_probes, 1);
-        assert!(steps[0].pred_probes[0].is_some());
+        assert_eq!(steps.len(), 2);
+        assert_eq!(report.fused_steps, 0);
+        assert_eq!(steps[1].axis, Axis::Child);
     }
 
     #[test]
-    fn hoist_and_probe_mirror_the_xpath_rules() {
-        // Context-independent boolean predicate: hoisted.
-        let ast = parse_query("/descendant::w[count(/descendant::e1) > 0]").unwrap();
-        let (opt, report) = optimize(&ast);
-        assert_eq!(report.hoisted_predicates, 1);
-        assert!(path_steps(&opt)[0].pred_hoistable[0]);
+    fn already_optimal_plans_report_zero() {
+        let (_, report) = optimize(&xpath("/descendant::w[1]/child::a"));
+        assert_eq!(report.total(), 0);
+    }
 
-        // Impure lookalike: analyze-string() keeps it per-candidate even
-        // though it is an absolute path underneath.
-        let ast2 = parse_query("/descendant::w[analyze-string(., 'a')/child::m]").unwrap();
-        let (opt2, r2) = optimize(&ast2);
-        assert_eq!(r2.hoisted_predicates, 0);
-        assert!(path_steps(&opt2)[0].pred_hoistable.is_empty());
+    #[test]
+    fn chain_join_fuses_descendant_pairs() {
+        // `//a//b` fusion output is exactly the chain-join shape.
+        let (opt, report) = optimize(&xpath("//a//b[xancestor::p]"));
+        let steps = path_steps(&opt);
+        assert_eq!(steps.len(), 1, "fused pair collapsed to one join step: {steps:?}");
+        assert_eq!(steps[0].chain_outer.as_deref(), Some("a"));
+        assert_eq!(report.chain_join_steps, 1);
+        assert!(steps[0].rewritten);
 
-        // Positional context: no annotations at all.
-        let ast3 = parse_query("/descendant::w[xfollowing::e1][2]").unwrap();
-        let (opt3, r3) = optimize(&ast3);
-        assert_eq!(r3.existential_probes, 0);
+        // The explicit form joins too.
+        let (opt2, r2) = optimize(&xpath("/descendant::a/descendant::b"));
+        assert_eq!(path_steps(&opt2).len(), 1);
+        assert_eq!(r2.chain_join_steps, 1);
+
+        // Blocked: a predicate on the outer step (the join has nowhere to
+        // apply it), a positional predicate on the inner step, or a
+        // hierarchy-filtered test.
+        for src in [
+            "/descendant::a[@n]/descendant::b",
+            "/descendant::a/descendant::b[2]",
+            "/descendant::a(\"h\")/descendant::b",
+        ] {
+            let (opt, r) = optimize(&xpath(src));
+            assert_eq!(path_steps(&opt).len(), 2, "`{src}` must not chain-join");
+            assert_eq!(r.chain_join_steps, 0, "`{src}` must not chain-join");
+        }
+    }
+
+    #[test]
+    fn existential_probes_annotated_for_boolean_axis_predicates() {
+        let (opt, report) = optimize(&xpath("/descendant::w[xfollowing::e1][child::a]"));
+        let step = &path_steps(&opt)[0];
+        assert!(step.preds_position_free);
+        assert_eq!(report.existential_probes, 1);
+        // After the cheapest-first reorder the extended-axis predicate
+        // sits second; only it probes.
+        let probes: Vec<bool> = step.pred_probes.iter().map(Option::is_some).collect();
+        assert_eq!(probes, vec![false, true]);
+
+        // Positional context: no batch routing, so no annotations at all.
+        for plan in both("/descendant::w[xfollowing::e1][2]") {
+            let (opt2, r2) = optimize(&plan);
+            assert!(path_steps(&opt2)[0].pred_probes.is_empty());
+            assert_eq!(r2.existential_probes, 0);
+        }
+
+        // A numeric-typed predicate is the position shorthand — never
+        // probed, never batch-routed.
+        let (opt3, r3) = optimize(&xpath("/descendant::w[count(xfollowing::e1)]"));
         assert!(path_steps(&opt3)[0].pred_probes.is_empty());
+        assert_eq!(r3.existential_probes, 0);
+
+        // A nested predicate inside the axis step blocks the probe (the
+        // probe cannot apply it) but not the batch route.
+        let (opt4, r4) = optimize(&xpath("/descendant::w[xfollowing::e1[1]]"));
+        let s4 = &path_steps(&opt4)[0];
+        assert!(s4.preds_position_free);
+        assert!(s4.pred_probes.iter().all(Option::is_none));
+        assert_eq!(r4.existential_probes, 0);
+    }
+
+    #[test]
+    fn hoistable_predicates_detected() {
+        for plan in both("/descendant::w[count(/descendant::e1) > 0][child::a]") {
+            let (opt, report) = optimize(&plan);
+            let step = &path_steps(&opt)[0];
+            assert_eq!(report.hoisted_predicates, 1);
+            // Exactly one predicate is context-independent, whichever slot
+            // the reorder put it in.
+            assert_eq!(step.pred_hoistable.iter().filter(|&&h| h).count(), 1);
+            let hoisted_at = step.pred_hoistable.iter().position(|&h| h).unwrap();
+            assert!(is_context_independent(&step.predicates[hoisted_at]));
+            assert!(!is_context_independent(&step.predicates[1 - hoisted_at]));
+        }
+
+        // Context-dependent lookalikes never hoist: relative paths,
+        // zero-argument context functions, focus readers.
+        for src in [
+            "/descendant::w[contains(string(.), 'a')]",
+            "/descendant::w[string-length() > 1]",
+            "/descendant::w[child::a]",
+        ] {
+            let (opt, r) = optimize(&xpath(src));
+            let s = &path_steps(&opt)[0];
+            assert_eq!(r.hoisted_predicates, 0, "`{src}` must not hoist");
+            assert!(s.pred_hoistable.iter().all(|&h| !h), "`{src}` must not hoist");
+        }
+    }
+
+    /// The fixed weight table prices every extended-axis subquery
+    /// identically (and always above a string test), so it cannot know
+    /// which name is actually rare. With `IndexStats` the evaluator's
+    /// `stats_order` picks the genuinely rarer name first — including the
+    /// case the fixed table gets wrong.
+    #[test]
+    fn stats_order_picks_the_rarer_name_first() {
+        use mhx_goddag::{GoddagBuilder, StructIndex};
+        // `w` covers every character; `rare` occurs once.
+        let g = GoddagBuilder::new()
+            .hierarchy(
+                "words",
+                "<r><w>a</w><w>b</w><w>c</w><w>d</w><w>e</w><w>f</w><w>g</w><w>h</w></r>",
+            )
+            .hierarchy("marks", "<r><rare>a</rare>bcdefgh</r>")
+            .build()
+            .unwrap();
+        let idx = StructIndex::build(&g);
+        assert!(idx.stats().name_count("w") > idx.stats().name_count("rare"));
+
+        // Two extended-axis predicates: same fixed weight, so the static
+        // reorder keeps the written (common-name-first) order…
+        let (opt, _) = optimize(&xpath("/descendant::r[xdescendant::w][xdescendant::rare]"));
+        let step = &path_steps(&opt)[0];
+        assert!(format!("{:?}", step.predicates[0]).contains("\"w\""));
+        // …but the per-document statistics invert it.
+        assert_eq!(stats_order(&step.predicates, idx.stats()), vec![1, 0]);
+
+        // The case the fixed table actively gets wrong: it prices the
+        // string test far below any extended-axis subquery, but a probe on
+        // a once-per-document name is cheaper than materializing every
+        // candidate's string value.
+        let (opt2, _) =
+            optimize(&xpath("/descendant::r[contains(string(.), 'zz')][xdescendant::rare]"));
+        let step2 = &path_steps(&opt2)[0];
+        assert!(
+            matches!(&step2.predicates[0], QExpr::Call { name, .. } if name == "contains"),
+            "static order keeps the string test first: {:?}",
+            step2.predicates
+        );
+        assert_eq!(stats_order(&step2.predicates, idx.stats()), vec![1, 0]);
+
+        // And when the frequencies flip, so does the verdict: on a
+        // document where `w` is the rare one, `w` goes first again.
+        let g2 = GoddagBuilder::new()
+            .hierarchy("words", "<r><w>a</w>bcdefgh</r>")
+            .hierarchy(
+                "marks",
+                "<r><rare>a</rare><rare>b</rare><rare>c</rare><rare>d</rare>\
+                 <rare>e</rare><rare>f</rare><rare>g</rare><rare>h</rare></r>",
+            )
+            .build()
+            .unwrap();
+        let idx2 = StructIndex::build(&g2);
+        assert_eq!(stats_order(&step.predicates, idx2.stats()), vec![0, 1]);
     }
 
     #[test]

@@ -15,11 +15,12 @@ use crate::error::{Result, XQueryError};
 use mhx_goddag::Axis;
 use mhx_xml::cursor::Cursor;
 use mhx_xml::escape::{unescape, EntityMap};
-use mhx_xpath::NodeTest;
+use mhx_xpath::{NodeTest, MAX_NESTING_DEPTH};
 
-/// Parse a complete query (expression; prologs are not supported).
+/// Parse a complete query (expression; prologs are not supported). Input
+/// nesting deeper than [`MAX_NESTING_DEPTH`] is a parse error.
 pub fn parse_query(src: &str) -> Result<QExpr> {
-    let mut p = P { cur: Cursor::new(src) };
+    let mut p = P { cur: Cursor::new(src), depth: 0 };
     p.ws();
     let e = p.expr()?;
     p.ws();
@@ -31,11 +32,23 @@ pub fn parse_query(src: &str) -> Result<QExpr> {
 
 struct P<'a> {
     cur: Cursor<'a>,
+    /// Current nesting level (see [`MAX_NESTING_DEPTH`]).
+    depth: usize,
 }
 
 impl<'a> P<'a> {
     fn err(&self, msg: impl Into<String>) -> XQueryError {
         XQueryError::at(msg, self.cur.offset())
+    }
+
+    /// Enter one more nesting level. Callers restore `depth` on success;
+    /// an error aborts the whole parse.
+    fn nest(&mut self) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING_DEPTH {
+            return Err(self.err(format!("query nests deeper than {MAX_NESTING_DEPTH} levels")));
+        }
+        Ok(())
     }
 
     fn ws(&mut self) {
@@ -118,17 +131,21 @@ impl<'a> P<'a> {
     }
 
     fn expr_single(&mut self) -> Result<QExpr> {
+        let mark = self.depth;
+        self.nest()?;
         self.ws();
-        if (self.peek_kw("for") || self.peek_kw("let")) && self.next_after_kw_is_dollar() {
-            return self.flwor();
-        }
-        if (self.peek_kw("some") || self.peek_kw("every")) && self.next_after_kw_is_dollar() {
-            return self.quantified();
-        }
-        if self.peek_kw("if") && self.next_after_kw_is('(') {
-            return self.if_expr();
-        }
-        self.or_expr()
+        let e = if (self.peek_kw("for") || self.peek_kw("let")) && self.next_after_kw_is_dollar() {
+            self.flwor()
+        } else if (self.peek_kw("some") || self.peek_kw("every")) && self.next_after_kw_is_dollar()
+        {
+            self.quantified()
+        } else if self.peek_kw("if") && self.next_after_kw_is('(') {
+            self.if_expr()
+        } else {
+            self.or_expr()
+        }?;
+        self.depth = mark;
+        Ok(e)
     }
 
     /// After a keyword at the cursor, is the next non-space char `$`?
@@ -306,13 +323,16 @@ impl<'a> P<'a> {
 
     fn or_expr(&mut self) -> Result<QExpr> {
         let mut lhs = self.and_expr()?;
+        let mark = self.depth;
         loop {
             self.ws();
             if self.kw("or") {
                 self.ws();
+                self.nest()?;
                 let rhs = self.and_expr()?;
                 lhs = QExpr::Or(Box::new(lhs), Box::new(rhs));
             } else {
+                self.depth = mark;
                 return Ok(lhs);
             }
         }
@@ -320,13 +340,16 @@ impl<'a> P<'a> {
 
     fn and_expr(&mut self) -> Result<QExpr> {
         let mut lhs = self.comparison_expr()?;
+        let mark = self.depth;
         loop {
             self.ws();
             if self.kw("and") {
                 self.ws();
+                self.nest()?;
                 let rhs = self.comparison_expr()?;
                 lhs = QExpr::And(Box::new(lhs), Box::new(rhs));
             } else {
+                self.depth = mark;
                 return Ok(lhs);
             }
         }
@@ -387,6 +410,7 @@ impl<'a> P<'a> {
 
     fn additive_expr(&mut self) -> Result<QExpr> {
         let mut lhs = self.multiplicative_expr()?;
+        let mark = self.depth;
         loop {
             self.ws();
             let op = if self.cur.eat("+") {
@@ -394,9 +418,11 @@ impl<'a> P<'a> {
             } else if self.cur.eat("-") {
                 ArithOp::Sub
             } else {
+                self.depth = mark;
                 return Ok(lhs);
             };
             self.ws();
+            self.nest()?;
             let rhs = self.multiplicative_expr()?;
             lhs = QExpr::Arith { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
@@ -404,6 +430,7 @@ impl<'a> P<'a> {
 
     fn multiplicative_expr(&mut self) -> Result<QExpr> {
         let mut lhs = self.union_expr()?;
+        let mark = self.depth;
         loop {
             self.ws();
             let op = if self.cur.eat("*") {
@@ -415,9 +442,11 @@ impl<'a> P<'a> {
             } else if self.kw("mod") {
                 ArithOp::Mod
             } else {
+                self.depth = mark;
                 return Ok(lhs);
             };
             self.ws();
+            self.nest()?;
             let rhs = self.union_expr()?;
             lhs = QExpr::Arith { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
@@ -425,13 +454,16 @@ impl<'a> P<'a> {
 
     fn union_expr(&mut self) -> Result<QExpr> {
         let mut lhs = self.unary_expr()?;
+        let mark = self.depth;
         loop {
             self.ws();
             if self.cur.eat("|") || self.kw("union") {
                 self.ws();
+                self.nest()?;
                 let rhs = self.unary_expr()?;
                 lhs = QExpr::Union(Box::new(lhs), Box::new(rhs));
             } else {
+                self.depth = mark;
                 return Ok(lhs);
             }
         }
@@ -441,7 +473,10 @@ impl<'a> P<'a> {
         self.ws();
         if self.cur.eat("-") {
             self.ws();
-            return Ok(QExpr::Neg(Box::new(self.unary_expr()?)));
+            self.nest()?;
+            let e = QExpr::Neg(Box::new(self.unary_expr()?));
+            self.depth -= 1;
+            return Ok(e);
         }
         self.cur.eat("+"); // unary plus is a no-op
         self.path_expr()
@@ -756,6 +791,13 @@ impl<'a> P<'a> {
     // ---------- direct constructors ----------
 
     fn dir_elem(&mut self) -> Result<DirElem> {
+        self.nest()?;
+        let e = self.dir_elem_body()?;
+        self.depth -= 1;
+        Ok(e)
+    }
+
+    fn dir_elem_body(&mut self) -> Result<DirElem> {
         self.cur.expect("<").map_err(|_| self.err("expected `<`"))?;
         let name = self.name()?;
         let mut attrs = Vec::new();

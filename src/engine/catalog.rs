@@ -16,14 +16,10 @@
 //! write lock when a mutation invalidated it.
 
 use crate::engine::cache::{CacheStats, CachedPlan, SharedPlanCache};
-use crate::engine::error::{
-    xpath_eval_error, xpath_parse_error, xquery_error, EngineError, QueryLang,
-};
+use crate::engine::error::{query_error, xpath_parse_error, EngineError, QueryLang};
 use crate::engine::result::QueryOutcome;
 use crate::engine::session::{Prepared, Session};
-use mhx_goddag::{Goddag, NodeId, StructIndex};
-use mhx_xpath::plan::EvalCounters;
-use mhx_xpath::{CompiledXPath, Context};
+use mhx_goddag::{Goddag, StructIndex};
 use mhx_xquery::ast::Clause;
 use mhx_xquery::{parse_query, CompiledXQuery, EvalOptions, QExpr};
 use std::collections::BTreeMap;
@@ -33,45 +29,9 @@ use std::time::{Duration, Instant};
 
 /// Cumulative per-catalog evaluation counters (both query languages), the
 /// runtime complement of the compile-time [`CacheStats`]. Snapshot via
-/// [`Catalog::eval_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EvalStats {
-    /// Path steps resolved set-at-a-time (one index pass for the whole
-    /// context set): predicate-free steps and optimizer-routed
-    /// position-free predicated steps.
-    pub batched_steps: u64,
-    /// Path steps evaluated from a plan the optimizer rewrote (fused,
-    /// reordered, or batch-routed). Grows only while the executing
-    /// connection's `optimize` knob is on.
-    pub rewritten_steps: u64,
-    /// Optimizer rewrites in the plans executed (compile-time counts,
-    /// summed per execution). 0-increments mean the plans were already
-    /// optimal or the knob was off.
-    pub plan_rewrites: u64,
-    /// Predicated steps where at least one predicate resolved through an
-    /// existential first-witness probe (`StructIndex::axis_exists`)
-    /// instead of materializing the axis.
-    pub early_exit_steps: u64,
-    /// Context-independent predicates the evaluator hoisted: computed
-    /// once per step instead of once per candidate.
-    pub hoisted_preds: u64,
-    /// `descendant::a/descendant::b` pairs evaluated as one containment
-    /// -chain merge join over the structural index.
-    pub chain_joins: u64,
-}
-
-impl EvalStats {
-    /// Fold another snapshot's counters into this one — how a connection
-    /// accumulates totals across its short-lived per-request sessions.
-    pub fn absorb(&mut self, other: &EvalStats) {
-        self.batched_steps += other.batched_steps;
-        self.rewritten_steps += other.rewritten_steps;
-        self.plan_rewrites += other.plan_rewrites;
-        self.early_exit_steps += other.early_exit_steps;
-        self.hoisted_preds += other.hoisted_preds;
-        self.chain_joins += other.chain_joins;
-    }
-}
+/// [`Catalog::eval_stats`]; the fields are the evaluator's own step
+/// counters, summed.
+pub use mhx_xquery::EvalStats;
 
 /// Atomic accumulator behind [`EvalStats`] snapshots. The catalog owns one
 /// for its totals; every [`Session`] owns another, so per-connection
@@ -774,49 +734,40 @@ impl Catalog {
 
     /// Evaluate an XPath expression from the root of document `id`.
     pub fn xpath(&self, id: &str, src: &str) -> Result<QueryOutcome, EngineError> {
-        // Refuse before compiling: a draining catalog must not pay for
-        // (or cache) new plans. Then resolve the document, so an unknown
-        // id also fails without compiling anything.
-        self.check_open()?;
-        let entry = self.entry(id)?;
-        let plan = self.plan_for(QueryLang::XPath, src, Some(id))?;
-        self.eval_entry(id, &entry, &plan, &self.opts, None)
+        self.query(id, QueryLang::XPath, src)
     }
 
     /// Run an XQuery query against document `id` with the catalog's
     /// default options.
     pub fn xquery(&self, id: &str, src: &str) -> Result<QueryOutcome, EngineError> {
-        self.check_open()?;
-        let entry = self.entry(id)?;
-        let plan = self.plan_for(QueryLang::XQuery, src, Some(id))?;
-        self.eval_entry(id, &entry, &plan, &self.opts, None)
+        self.query(id, QueryLang::XQuery, src)
     }
 
     /// Language-dispatched entry point (what a network front end calls).
     pub fn query(&self, id: &str, lang: QueryLang, src: &str) -> Result<QueryOutcome, EngineError> {
-        match lang {
-            QueryLang::XPath => self.xpath(id, src),
-            QueryLang::XQuery => self.xquery(id, src),
-        }
+        // Refuse before compiling: a draining catalog must not pay for
+        // (or cache) new plans. Then resolve the document, so an unknown
+        // id also fails without compiling anything.
+        self.check_open()?;
+        let entry = self.entry(id)?;
+        let plan = self.plan_for(lang, src, Some(id))?;
+        self.eval_entry(id, &entry, lang, &plan, &self.opts, None)
     }
 
     /// Render the optimized plan for `src` against document `id`: chosen
-    /// rewrites, per-step strategies and annotations, and estimated
-    /// cardinalities from the document's index statistics (XPath plans
-    /// also report actual per-step cardinalities — the plan is evaluated
-    /// incrementally to measure them). Compiles through the shared cache,
-    /// so explaining a query warms the same plan later queries reuse.
+    /// rewrites, per-step strategies and annotations, estimated
+    /// cardinalities from the document's index statistics, and actual
+    /// per-step cardinalities of the top-level paths that start at the
+    /// root or the context (see [`CompiledXQuery::explain`]). Compiles
+    /// through the shared cache, so explaining a query warms the same plan
+    /// later queries reuse.
     pub fn explain(&self, id: &str, lang: QueryLang, src: &str) -> Result<String, EngineError> {
         self.check_open()?;
         let entry = self.entry(id)?;
         let plan = self.plan_for(lang, src, Some(id))?;
         let guard = self.resident_body(id, &entry)?;
         let body = guard.as_ref().expect("resident_body returns Some");
-        let idx = body.current_index();
-        match &plan {
-            CachedPlan::XPath(p) => p.explain(&body.g, &idx).map_err(xpath_eval_error),
-            CachedPlan::XQuery(q) => Ok(q.explain(Some(idx.stats()))),
-        }
+        Ok(plan.explain(&body.g, &body.current_index()))
     }
 
     /// Compile a query once (through the shared cache) into a reusable
@@ -842,19 +793,21 @@ impl Catalog {
     /// Execute a prepared query against document `id` with the catalog's
     /// default options.
     pub fn execute(&self, id: &str, prepared: &Prepared) -> Result<QueryOutcome, EngineError> {
-        self.eval_plan(id, prepared.plan(), &self.opts, None)
+        self.execute_with(id, prepared.lang(), prepared.plan(), &self.opts, None)
     }
 
-    /// Execute a prepared query with explicit options (sessions route
+    /// Execute a compiled plan with explicit options (sessions route
     /// through this, threading their own counters).
     pub(crate) fn execute_with(
         &self,
         id: &str,
+        lang: QueryLang,
         plan: &CachedPlan,
         opts: &EvalOptions,
         session_totals: Option<&EvalTotals>,
     ) -> Result<QueryOutcome, EngineError> {
-        self.eval_plan(id, plan, opts, session_totals)
+        let entry = self.entry(id)?;
+        self.eval_entry(id, &entry, lang, plan, opts, session_totals)
     }
 
     /// Open a per-connection handle pinned to document `id`, carrying its
@@ -871,49 +824,35 @@ impl Catalog {
     // Plan pipeline
     // ------------------------------------------------------------------
 
-    /// Parse + compile `src` through the shared cache. `doc` attributes
-    /// the lookup for the cross-document hit counter.
+    /// Parse + compile `src` through the shared cache (single-flight per
+    /// `(lang, text)`). `doc` attributes the lookup for the cross-document
+    /// hit counter. Both languages compile to the same plan type: XPath's
+    /// parser is the grammar boundary, and its expression is lowered into
+    /// the query plan.
     pub(crate) fn plan_for(
         &self,
         lang: QueryLang,
         src: &str,
         doc: Option<&str>,
     ) -> Result<CachedPlan, EngineError> {
-        if let Some(plan) = self.cache.get(lang, src, doc) {
-            return Ok(plan);
-        }
-        let plan = match lang {
+        self.cache.get_or_compile(lang, src, doc, || match lang {
             QueryLang::XPath => {
-                let p = CompiledXPath::compile(src).map_err(xpath_parse_error)?;
-                CachedPlan::XPath(Arc::new(p))
+                let expr = mhx_xpath::parse(src).map_err(xpath_parse_error)?;
+                Ok(CompiledXQuery::from_xpath(src.to_string(), &expr))
             }
             QueryLang::XQuery => {
-                let ast = parse_query(src).map_err(xquery_error)?;
+                let ast = parse_query(src).map_err(|e| query_error(lang, e))?;
                 check_static(&ast)?;
-                // Optimize once at compile time: the cached plan carries
-                // both forms and repeat executions skip the rewrite.
-                CachedPlan::XQuery(Arc::new(CompiledXQuery::from_ast(src.to_string(), ast)))
+                Ok(CompiledXQuery::from_ast(src.to_string(), ast))
             }
-        };
-        self.cache.insert(lang, src, doc, plan.clone());
-        Ok(plan)
-    }
-
-    fn eval_plan(
-        &self,
-        id: &str,
-        plan: &CachedPlan,
-        opts: &EvalOptions,
-        session_totals: Option<&EvalTotals>,
-    ) -> Result<QueryOutcome, EngineError> {
-        let entry = self.entry(id)?;
-        self.eval_entry(id, &entry, plan, opts, session_totals)
+        })
     }
 
     fn eval_entry(
         &self,
         id: &str,
         entry: &DocEntry,
+        lang: QueryLang,
         plan: &CachedPlan,
         opts: &EvalOptions,
         session_totals: Option<&EvalTotals>,
@@ -926,45 +865,13 @@ impl Catalog {
         self.check_open()?;
         let guard = self.resident_body(id, entry)?;
         let body = guard.as_ref().expect("resident_body returns Some");
-        let g = &body.g;
         let idx = body.current_index();
-        let record = |delta: EvalStats| {
-            self.eval_totals.add(delta);
-            if let Some(totals) = session_totals {
-                totals.add(delta);
-            }
-        };
-        match plan {
-            CachedPlan::XPath(p) => {
-                let ctx = Context::new(NodeId::Root);
-                let counters = EvalCounters::default();
-                let v = p
-                    .evaluate_with(g, &idx, &ctx, opts.optimize, &counters)
-                    .map_err(xpath_eval_error)?;
-                let rewrites = if opts.optimize { p.report().total() as u64 } else { 0 };
-                record(EvalStats {
-                    batched_steps: counters.batched_steps.get(),
-                    rewritten_steps: counters.rewritten_steps.get(),
-                    plan_rewrites: rewrites,
-                    early_exit_steps: counters.early_exit_steps.get(),
-                    hoisted_preds: counters.hoisted_preds.get(),
-                    chain_joins: counters.chain_joins.get(),
-                });
-                Ok(QueryOutcome::from_xpath_value(v, g, &idx, opts))
-            }
-            CachedPlan::XQuery(q) => {
-                let (out, stats) = q.run_with_index(g, Some(&idx), opts).map_err(xquery_error)?;
-                record(EvalStats {
-                    batched_steps: stats.batched_steps,
-                    rewritten_steps: stats.rewritten_steps,
-                    plan_rewrites: stats.plan_rewrites,
-                    early_exit_steps: stats.early_exit_steps,
-                    hoisted_preds: stats.hoisted_preds,
-                    chain_joins: stats.chain_joins,
-                });
-                Ok(QueryOutcome::from_markup(out))
-            }
+        let run = plan.run(&body.g, Some(&idx), opts).map_err(|e| query_error(lang, e))?;
+        self.eval_totals.add(run.stats);
+        if let Some(totals) = session_totals {
+            totals.add(run.stats);
         }
+        Ok(QueryOutcome::new(lang, run.items, run.serialized))
     }
 }
 

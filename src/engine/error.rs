@@ -147,26 +147,18 @@ impl From<mhx_xml::XmlError> for EngineError {
     }
 }
 
-/// Map an XPath error to the right stage variant. The compiled-plan layer
-/// only fails at parse/compile time; evaluation failures are tagged by the
-/// caller via [`EngineError::Eval`].
+/// Map an XPath parse error (the XPath grammar is the only XPath-specific
+/// stage; everything after it runs on the shared query engine).
 pub(crate) fn xpath_parse_error(e: mhx_xpath::XPathError) -> EngineError {
     EngineError::Parse { lang: QueryLang::XPath, message: e.msg, at: e.at }
 }
 
-pub(crate) fn xpath_eval_error(e: mhx_xpath::XPathError) -> EngineError {
-    EngineError::Eval { lang: QueryLang::XPath, message: e.msg }
-}
-
-/// Map an XQuery error through its crate-level stage tag.
-pub(crate) fn xquery_error(e: mhx_xquery::XQueryError) -> EngineError {
+/// Map a query-engine error through its stage tag, attributed to the
+/// language the request was phrased in.
+pub(crate) fn query_error(lang: QueryLang, e: mhx_xquery::XQueryError) -> EngineError {
     match e.kind {
-        mhx_xquery::XQueryErrorKind::Parse => {
-            EngineError::Parse { lang: QueryLang::XQuery, message: e.msg, at: e.at }
-        }
-        mhx_xquery::XQueryErrorKind::Eval => {
-            EngineError::Eval { lang: QueryLang::XQuery, message: e.msg }
-        }
+        mhx_xquery::XQueryErrorKind::Parse => EngineError::Parse { lang, message: e.msg, at: e.at },
+        mhx_xquery::XQueryErrorKind::Eval => EngineError::Eval { lang, message: e.msg },
     }
 }
 
@@ -194,13 +186,13 @@ mod tests {
     #[test]
     fn source_kinds_survive_the_mapping() {
         let parse = mhx_xquery::XQueryError::at("bad", 3);
-        match xquery_error(parse) {
+        match query_error(QueryLang::XQuery, parse) {
             EngineError::Parse { lang: QueryLang::XQuery, at: Some(3), .. } => {}
             other => panic!("expected Parse, got {other:?}"),
         }
         let eval = mhx_xquery::XQueryError::new("idiv by zero");
-        match xquery_error(eval) {
-            EngineError::Eval { lang: QueryLang::XQuery, .. } => {}
+        match query_error(QueryLang::XPath, eval) {
+            EngineError::Eval { lang: QueryLang::XPath, .. } => {}
             other => panic!("expected Eval, got {other:?}"),
         }
     }

@@ -1,29 +1,32 @@
 //! The unified query result type.
 //!
-//! Both query languages return a [`QueryOutcome`], so callers never branch
-//! on language: XPath produces node sets and atomics, XQuery produces
-//! serialized markup, and every outcome carries its paper-style serialized
-//! form (computed once, at evaluation time, with the same serializer the
-//! XQuery engine uses — element nodes render their own hierarchy's markup,
-//! leaves render text).
+//! Both query languages run on one engine and return a [`QueryOutcome`],
+//! so callers never branch on language. XPath keeps its XPath 1.0 typed
+//! view — node sets and single atomics — while XQuery results are
+//! serialized markup. Every outcome carries its paper-style serialized
+//! form, rendered once at evaluation time by the evaluator that produced
+//! the result (element nodes render their own hierarchy's markup, leaves
+//! render text).
 //!
 //! Serializing eagerly is a deliberate trade-off: it makes the outcome
 //! self-contained (valid after the document mutates or is removed, safe to
 //! ship across threads) at the cost of rendering markup the caller may
 //! never read. Node-set queries pay per result-subtree — for bulk node
-//! *enumeration* on large documents (`/descendant::*`), prefer the
-//! unserialized one-shot layers ([`mhx_xpath::evaluate_xpath`]) over the
-//! catalog facade.
+//! *enumeration* on large documents (`/descendant::*`), compile once with
+//! [`mhx_xquery::CompiledXQuery::from_xpath`] and call its index-backed
+//! [`evaluate`](mhx_xquery::CompiledXQuery::evaluate), which returns
+//! unserialized items, instead of going through the catalog facade.
+//! ([`mhx_xpath::evaluate_xpath`] is the unindexed reference interpreter,
+//! kept as the test oracle.)
 
 use crate::engine::error::QueryLang;
-use mhx_goddag::{Goddag, NodeId, StructIndex};
-use mhx_xpath::Value;
-use mhx_xquery::{serialize, EvalOptions, Evaluator, Item};
+use mhx_goddag::NodeId;
+use mhx_xquery::Item;
 
 /// The value inside a [`QueryOutcome`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryValue {
-    /// A node set in KyGODDAG document order (XPath path results).
+    /// A node set in KyGODDAG document order (XPath node-set results).
     Nodes(Vec<NodeId>),
     Str(String),
     Num(f64),
@@ -69,38 +72,22 @@ pub struct QueryOutcome {
 }
 
 impl QueryOutcome {
-    /// Wrap an XPath [`Value`], serializing it through the XQuery
-    /// serializer so both languages print identically.
-    pub(crate) fn from_xpath_value(
-        v: Value,
-        g: &Goddag,
-        idx: &StructIndex,
-        opts: &EvalOptions,
-    ) -> QueryOutcome {
-        let items: Vec<Item> = match &v {
-            Value::Nodes(ns) => ns.iter().map(|&n| Item::Node(n)).collect(),
-            Value::Str(s) => vec![Item::Str(s.clone())],
-            Value::Num(n) => vec![Item::Num(*n)],
-            Value::Bool(b) => vec![Item::Bool(*b)],
+    /// Wrap one evaluation's result. XQuery outcomes are markup; XPath
+    /// outcomes get XPath 1.0's typed view of the same items: all nodes
+    /// (none included) → [`QueryValue::Nodes`], one atomic → its
+    /// [`QueryValue::Str`]/[`Num`](QueryValue::Num)/[`Bool`](QueryValue::Bool).
+    /// Anything else (only XQuery-only functions produce it) stays markup.
+    pub(crate) fn new(lang: QueryLang, items: Vec<Item>, serialized: String) -> QueryOutcome {
+        let value = match (lang, items.as_slice()) {
+            (QueryLang::XPath, [Item::Str(s)]) => QueryValue::Str(s.clone()),
+            (QueryLang::XPath, [Item::Num(n)]) => QueryValue::Num(*n),
+            (QueryLang::XPath, [Item::Bool(b)]) => QueryValue::Bool(*b),
+            (QueryLang::XPath, _) if items.iter().all(|i| matches!(i, Item::Node(_))) => {
+                QueryValue::Nodes(items.iter().filter_map(Item::as_goddag_node).collect())
+            }
+            _ => QueryValue::Markup(serialized.clone()),
         };
-        let ev = Evaluator::with_index(g, idx, opts.clone());
-        let serialized = serialize::serialize_sequence(&ev, &items);
-        let value = match v {
-            Value::Nodes(ns) => QueryValue::Nodes(ns),
-            Value::Str(s) => QueryValue::Str(s),
-            Value::Num(n) => QueryValue::Num(n),
-            Value::Bool(b) => QueryValue::Bool(b),
-        };
-        QueryOutcome { lang: QueryLang::XPath, value, serialized }
-    }
-
-    /// Wrap an already-serialized XQuery result.
-    pub(crate) fn from_markup(serialized: String) -> QueryOutcome {
-        QueryOutcome {
-            lang: QueryLang::XQuery,
-            value: QueryValue::Markup(serialized.clone()),
-            serialized,
-        }
+        QueryOutcome { lang, value, serialized }
     }
 
     /// Which language produced this outcome.

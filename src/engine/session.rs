@@ -114,29 +114,26 @@ impl<'c> Session<'c> {
 
     /// Evaluate an XPath expression against the pinned document.
     pub fn xpath(&self, src: &str) -> Result<QueryOutcome, EngineError> {
-        let plan = self.catalog.plan_for(QueryLang::XPath, src, Some(&self.doc))?;
-        self.catalog.execute_with(&self.doc, &plan, &self.opts, Some(&self.totals))
+        self.query(QueryLang::XPath, src)
     }
 
     /// Run an XQuery query against the pinned document with this session's
     /// options.
     pub fn xquery(&self, src: &str) -> Result<QueryOutcome, EngineError> {
-        let plan = self.catalog.plan_for(QueryLang::XQuery, src, Some(&self.doc))?;
-        self.catalog.execute_with(&self.doc, &plan, &self.opts, Some(&self.totals))
+        self.query(QueryLang::XQuery, src)
     }
 
     /// Language-dispatched entry point.
     pub fn query(&self, lang: QueryLang, src: &str) -> Result<QueryOutcome, EngineError> {
-        match lang {
-            QueryLang::XPath => self.xpath(src),
-            QueryLang::XQuery => self.xquery(src),
-        }
+        let plan = self.catalog.plan_for(lang, src, Some(&self.doc))?;
+        self.catalog.execute_with(&self.doc, lang, &plan, &self.opts, Some(&self.totals))
     }
 
     /// Execute a prepared query against the pinned document with this
     /// session's options.
     pub fn run(&self, prepared: &Prepared) -> Result<QueryOutcome, EngineError> {
-        self.catalog.execute_with(&self.doc, prepared.plan(), &self.opts, Some(&self.totals))
+        let plan = prepared.plan();
+        self.catalog.execute_with(&self.doc, prepared.lang(), plan, &self.opts, Some(&self.totals))
     }
 }
 

@@ -2,18 +2,18 @@
 //! multihierarchical documents (including virtual hierarchies, both
 //! spec-built and `analyze-string()`-built), index-backed axis evaluation
 //! must equal the naive `all_nodes()` scan for every axis, the compiled
-//! XPath pipeline must equal the naive interpreter on random extended
-//! paths, and batched step resolution must equal the per-node union on
-//! random context sets for every axis × node-test pair. The naive side is
-//! the reference oracle the tentpole refactor promised to keep.
+//! XPath plan (lowered into the XQuery plan, index-backed, optimized) must
+//! equal the reference interpreter on random extended paths, and batched
+//! step resolution must equal the per-node union on random context sets for
+//! every axis × node-test pair. The naive side is the reference oracle.
 
 use multihier_xquery::corpus::{generate, GeneratorConfig};
 use multihier_xquery::goddag::axes::{axis_nodes, setsem, Axis};
 use multihier_xquery::goddag::{FragmentSpec, Goddag, NodeId, StructIndex};
-use multihier_xquery::xpath::eval::evaluate_xpath_naive;
 use multihier_xquery::xpath::{
-    choose_strategy, evaluate_xpath, resolve_step, resolve_step_batch, NodeTest, Value,
+    choose_strategy, evaluate_xpath, parse, resolve_step, resolve_step_batch, NodeTest, Value,
 };
+use multihier_xquery::xquery::{CompiledXQuery, EvalOptions};
 use proptest::prelude::*;
 
 const ALL_AXES: [Axis; 19] = [
@@ -177,16 +177,23 @@ proptest! {
         }
     }
 
-    /// The compiled pipeline and the naive interpreter agree on random
-    /// extended paths.
+    /// The compiled XPath plan and the reference interpreter agree on
+    /// random extended paths, optimizer on and off, in document order.
     #[test]
     fn compiled_xpath_equals_naive(cfg in arb_config(), steps in arb_path()) {
         let g = generate(&cfg).build_goddag();
-        let fast = evaluate_xpath(&g, &steps).unwrap();
-        let slow = evaluate_xpath_naive(&g, &steps).unwrap();
-        prop_assert_eq!(&fast, &slow, "compiled vs naive on `{}`", steps);
-        if let Value::Nodes(ns) = &fast {
-            for w in ns.windows(2) {
+        let idx = StructIndex::build(&g);
+        let Value::Nodes(slow) = evaluate_xpath(&g, &steps).unwrap() else {
+            return Err(TestCaseError::fail("paths yield node-sets"));
+        };
+        let plan = CompiledXQuery::from_xpath(steps.clone(), &parse(&steps).unwrap());
+        for optimize in [false, true] {
+            let opts = EvalOptions { optimize, ..Default::default() };
+            let run = plan.run(&g, Some(&idx), &opts).unwrap();
+            let fast: Vec<NodeId> =
+                run.items.iter().map(|i| i.as_goddag_node().expect("a node-set")).collect();
+            prop_assert_eq!(&fast, &slow, "compiled (optimize={}) vs naive on `{}`", optimize, steps);
+            for w in fast.windows(2) {
                 prop_assert_eq!(g.cmp_order(w[0], w[1]), std::cmp::Ordering::Less);
             }
         }

@@ -3,6 +3,7 @@
 //! and the unified result type.
 
 use multihier_xquery::prelude::*;
+use multihier_xquery::xpath::MAX_NESTING_DEPTH;
 use std::thread;
 
 /// A tiny manuscript: one base text, lines + words hierarchies, with the
@@ -359,4 +360,58 @@ fn plan_cache_does_not_collide_across_optimize_settings() {
     assert_eq!(a, b);
     assert!(on.eval_stats().rewritten_steps > 0);
     assert_eq!(off.eval_stats().rewritten_steps, 0);
+}
+
+/// The deepest query each shape generator yields that still parses, and the
+/// next one, which must be a parse error.
+fn deepest(shape: impl Fn(usize) -> String, accepts: impl Fn(&str) -> bool) -> (String, String) {
+    let k = (1..=2 * MAX_NESTING_DEPTH)
+        .take_while(|&k| accepts(&shape(k)))
+        .last()
+        .expect("the shallowest query parses");
+    (shape(k), shape(k + 1))
+}
+
+/// Queries at the nesting limit still lower, optimize, evaluate and
+/// explain on a 2 MiB thread (the daemon's dispatch workers have no larger
+/// stack); one level more is a parse error in either language.
+#[test]
+fn queries_at_the_nesting_limit_run_on_a_2_mib_thread() {
+    let nest = |open: &'static str, inner: &'static str, close: &'static str| {
+        move |k: usize| format!("{}{inner}{}", open.repeat(k), close.repeat(k))
+    };
+    type Shape = Box<dyn Fn(usize) -> String + Send>;
+    let xpath: Vec<Shape> = vec![
+        Box::new(nest("(", "1", ")")),
+        Box::new(nest("not(", "true()", ")")),
+        Box::new(nest("child::w[", "1", "]")),
+        Box::new(nest("-", "1", "")),
+        Box::new(|k| format!("1{}", " + 1".repeat(k))),
+    ];
+    let xquery: Vec<Shape> = vec![
+        Box::new(nest("(", "1", ")")),
+        Box::new(nest("for $x in 1 return ", "2", "")),
+        Box::new(nest("if (1) then 1 else ", "2", "")),
+        Box::new(nest("<a>", "x", "</a>")),
+        Box::new(nest("-", "1", "")),
+        Box::new(|k| format!("1{}", " * 1".repeat(k))),
+    ];
+    let worker = thread::Builder::new().stack_size(2 << 20).spawn(move || {
+        let catalog = corpus(1);
+        for (lang, shapes) in [(QueryLang::XPath, xpath), (QueryLang::XQuery, xquery)] {
+            let parses =
+                |q: &str| !matches!(catalog.query("ms-0", lang, q), Err(EngineError::Parse { .. }));
+            for shape in shapes {
+                let (at_limit, beyond) = deepest(&shape, parses);
+                catalog.query("ms-0", lang, &at_limit).unwrap();
+                catalog.explain("ms-0", lang, &at_limit).unwrap();
+                let Err(EngineError::Parse { message, .. }) = catalog.query("ms-0", lang, &beyond)
+                else {
+                    panic!("{lang} query one level past the limit must be a parse error");
+                };
+                assert!(message.contains("nests deeper"), "{message}");
+            }
+        }
+    });
+    worker.unwrap().join().expect("no stack overflow at the nesting limit");
 }

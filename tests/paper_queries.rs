@@ -49,17 +49,16 @@ fn e3_to_e7_all_paper_queries() {
 
 #[test]
 fn query_i1_via_plain_xpath_engine_too() {
-    // The path-only part of I.1 works in the standalone XPath engine.
+    // The path-only part of I.1 works as XPath: through the reference
+    // interpreter and through the served XPath front end.
     let g = figure1::goddag();
-    let v = evaluate_xpath(
-        &g,
-        "/descendant::line[xdescendant::w[string(.) = 'singallice'] or \
-         overlapping::w[string(.) = 'singallice']]",
-    )
-    .unwrap();
+    let path = "/descendant::line[xdescendant::w[string(.) = 'singallice'] or \
+                overlapping::w[string(.) = 'singallice']]";
+    let v = evaluate_xpath(&g, path).unwrap();
     let multihier_xquery::xpath::Value::Nodes(ns) = v else { panic!("expected nodes") };
     let texts: Vec<&str> = ns.iter().map(|&n| g.string_value(n)).collect();
     assert_eq!(texts, vec!["gesceaftum unawendendne sin", "gallice sibbe gecynde þa"]);
+    assert_eq!(Engine::new(g).xpath(path).unwrap().nodes(), Some(ns.as_slice()));
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! Differential property suite for the plan-level optimizer: on random
 //! GODDAGs, random paths with mixed positional / position-free predicates
 //! must produce **identical node sets (document order included)** with the
-//! optimizer on and off, through both the XPath and the XQuery entry
-//! points. The as-written plan is the reference oracle; every rewrite
-//! (predicate reordering, `//x` fusion, set-at-a-time batch routing) has
-//! to be invisible in the results.
+//! optimizer on and off, through both the XPath and the XQuery front ends.
+//! The as-written plan is the reference oracle for every rewrite
+//! (predicate reordering, `//x` fusion, set-at-a-time batch routing), and
+//! the served XPath answers must equal the naive reference interpreter's.
 //!
 //! The second half pins positional semantics with hand-computed answers:
 //! the optimizer must never reorder across a positional predicate, and a
@@ -14,9 +14,8 @@
 use multihier_xquery::corpus::{generate, GeneratorConfig};
 use multihier_xquery::goddag::{Goddag, NodeId, StructIndex};
 use multihier_xquery::prelude::*;
-use multihier_xquery::xpath::plan::EvalCounters;
-use multihier_xquery::xpath::{CompiledXPath, Context, Value};
-use multihier_xquery::xquery::{parse_query, run_parsed_with};
+use multihier_xquery::xpath::{parse, Value};
+use multihier_xquery::xquery::CompiledXQuery;
 use proptest::prelude::*;
 
 fn arb_config() -> impl Strategy<Value = GeneratorConfig> {
@@ -95,7 +94,7 @@ fn arb_step() -> impl Strategy<Value = String> {
 }
 
 /// Paths mixing explicit steps with `//` abbreviations (the fusion
-/// target); always absolute so both engines start from the root.
+/// target); always absolute so both front ends start from the root.
 fn arb_path() -> impl Strategy<Value = String> {
     let joiner = prop_oneof![Just("/"), Just("//")];
     (proptest::collection::vec(arb_step(), 1..4), proptest::collection::vec(joiner, 0..3)).prop_map(
@@ -142,38 +141,50 @@ fn arb_chain_path() -> impl Strategy<Value = String> {
     )
 }
 
+/// Compile an XPath text the way the catalog does: parse, lower, optimize.
+fn xpath_plan(src: &str) -> CompiledXQuery {
+    CompiledXQuery::from_xpath(src.to_string(), &parse(src).unwrap())
+}
+
+/// Run a compiled XPath plan with the knob set, returning the node set and
+/// the evaluation's step counters.
+fn xpath_run(
+    g: &Goddag,
+    idx: &StructIndex,
+    plan: &CompiledXQuery,
+    optimize: bool,
+) -> (Vec<NodeId>, EvalStats) {
+    let opts = EvalOptions { optimize, ..Default::default() };
+    let run = plan.run(g, Some(idx), &opts).unwrap();
+    let nodes = run.items.iter().map(|i| i.as_goddag_node().expect("a node-set")).collect();
+    (nodes, run.stats)
+}
+
 fn xpath_nodes(
     g: &Goddag,
     idx: &StructIndex,
-    compiled: &CompiledXPath,
+    plan: &CompiledXQuery,
     optimize: bool,
 ) -> Vec<NodeId> {
-    let v = compiled
-        .evaluate_with(g, idx, &Context::new(NodeId::Root), optimize, &EvalCounters::default())
-        .unwrap();
-    match v {
-        Value::Nodes(ns) => ns,
-        other => panic!("path should yield a node-set, got {other:?}"),
-    }
+    xpath_run(g, idx, plan, optimize).0
 }
 
 fn xquery_trace(g: &Goddag, path: &str, optimize: bool) -> String {
     let q = format!("for $n in {path} return concat(name($n), ':', string($n), '\u{1}')");
-    let ast = parse_query(&q).unwrap();
     let opts = EvalOptions { optimize, ..Default::default() };
-    run_parsed_with(g, &ast, &opts).unwrap()
+    run_query_with(g, &q, &opts).unwrap()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Optimized == unoptimized node sets (order included) for random
-    /// predicate-heavy paths, through both engines.
+    /// predicate-heavy paths, through both front ends.
     #[test]
     fn optimizer_is_invisible_in_results(cfg in arb_config(), path in arb_path()) {
         let g = generate(&cfg).build_goddag();
         let idx = StructIndex::build(&g);
-        let compiled = CompiledXPath::compile(&path).unwrap();
+        let compiled = xpath_plan(&path);
 
         let base = xpath_nodes(&g, &idx, &compiled, false);
         let opt = xpath_nodes(&g, &idx, &compiled, true);
@@ -188,14 +199,14 @@ proptest! {
         prop_assert_eq!(&q_base, &q_opt, "xquery optimized vs as-written on `{}`", path);
     }
 
-    /// The two engines also agree with each other under the optimizer —
-    /// the rewrite layers never diverge between the XPath and XQuery
-    /// wirings.
+    /// The two front ends also agree with each other under the optimizer —
+    /// the lowered XPath plan and the XQuery `for` over the same path never
+    /// diverge.
     #[test]
     fn engines_agree_under_optimizer(cfg in arb_config(), path in arb_path()) {
         let g = generate(&cfg).build_goddag();
         let idx = StructIndex::build(&g);
-        let compiled = CompiledXPath::compile(&path).unwrap();
+        let compiled = xpath_plan(&path);
         let xp: Vec<String> = xpath_nodes(&g, &idx, &compiled, true)
             .iter()
             .map(|&n| format!("{}:{}", g.name(n).unwrap_or(""), g.string_value(n)))
@@ -205,7 +216,28 @@ proptest! {
             .filter(|s| !s.is_empty())
             .map(str::to_string)
             .collect();
-        prop_assert_eq!(xp, xq, "engines disagree under the optimizer on `{}`", path);
+        prop_assert_eq!(xp, xq, "front ends disagree under the optimizer on `{}`", path);
+    }
+
+    /// Served `Catalog::xpath` answers — optimizer on and off — equal the
+    /// naive reference interpreter's node sets on random extended paths.
+    #[test]
+    fn served_xpath_equals_reference_interpreter(cfg in arb_config(), path in arb_path()) {
+        let g = generate(&cfg).build_goddag();
+        let Value::Nodes(expected) = evaluate_xpath(&g, &path).unwrap() else {
+            return Err(TestCaseError::fail("paths yield node-sets"));
+        };
+        let catalog = Catalog::new();
+        catalog.insert("doc", g);
+        for optimize in [false, true] {
+            let mut session = catalog.session("doc").unwrap();
+            session.options_mut().optimize = optimize;
+            let out = session.xpath(&path).unwrap();
+            prop_assert_eq!(
+                out.nodes(), Some(expected.as_slice()),
+                "served (optimize={}) vs reference on `{}`", optimize, path
+            );
+        }
     }
 
     /// Round-2 rewrites (containment-chain joins, existential probes,
@@ -216,7 +248,7 @@ proptest! {
     fn chain_joins_and_probes_are_invisible(cfg in arb_config(), path in arb_chain_path()) {
         let g = generate(&cfg).build_goddag();
         let idx = StructIndex::build(&g);
-        let compiled = CompiledXPath::compile(&path).unwrap();
+        let compiled = xpath_plan(&path);
 
         let base = xpath_nodes(&g, &idx, &compiled, false);
         let opt = xpath_nodes(&g, &idx, &compiled, true);
@@ -273,7 +305,7 @@ fn positional_semantics_pinned() {
         ("(/descendant::w[xancestor::p])[last()]", &["ccc"]),
     ];
     for (src, expected) in table {
-        let compiled = CompiledXPath::compile(src).unwrap();
+        let compiled = xpath_plan(src);
         for optimize in [false, true] {
             let got: Vec<String> = xpath_nodes(&g, &idx, &compiled, optimize)
                 .iter()
@@ -305,22 +337,19 @@ fn positional_semantics_pinned() {
 fn fusion_equivalence_and_counters() {
     let g = paged();
     let idx = StructIndex::build(&g);
-    let compiled = CompiledXPath::compile("//w[xancestor::p]").unwrap();
+    let compiled = xpath_plan("//w[xancestor::p]");
     assert!(compiled.report().fused_steps >= 1);
     assert!(compiled.report().batch_routed_steps >= 1);
 
-    let k = EvalCounters::default();
-    let v = compiled.evaluate_with(&g, &idx, &Context::new(NodeId::Root), true, &k).unwrap();
-    let Value::Nodes(ns) = v else { panic!() };
+    let (ns, k) = xpath_run(&g, &idx, &compiled, true);
     assert_eq!(ns.len(), 2);
-    assert!(k.batched_steps.get() >= 1, "fused step took the batch path");
-    assert!(k.rewritten_steps.get() >= 1);
+    assert!(k.batched_steps >= 1, "fused step took the batch path");
+    assert!(k.rewritten_steps >= 1);
 
     // As-written plan: same result, nothing rewritten.
-    let k0 = EvalCounters::default();
-    let v0 = compiled.evaluate_with(&g, &idx, &Context::new(NodeId::Root), false, &k0).unwrap();
-    assert_eq!(v0, Value::Nodes(ns));
-    assert_eq!(k0.rewritten_steps.get(), 0);
+    let (ns0, k0) = xpath_run(&g, &idx, &compiled, false);
+    assert_eq!(ns0, ns);
+    assert_eq!(k0.rewritten_steps, 0);
 }
 
 /// A single-hierarchy corpus where `p` really contains `w` in the tree —
@@ -347,26 +376,22 @@ fn early_exit_fires_only_on_boolean_axis_predicates() {
         // positional context: the probe annotation must not cross [2].
         "/descendant::w[2][xancestor::p]",
     ] {
-        let compiled = CompiledXPath::compile(src).unwrap();
+        let compiled = xpath_plan(src);
         assert_eq!(compiled.report().existential_probes, 0, "`{src}` must not be annotated");
-        let k = EvalCounters::default();
-        compiled.evaluate_with(&g, &idx, &Context::new(NodeId::Root), true, &k).unwrap();
-        assert_eq!(k.early_exit_steps.get(), 0, "`{src}` must not probe");
+        let (_, k) = xpath_run(&g, &idx, &compiled, true);
+        assert_eq!(k.early_exit_steps, 0, "`{src}` must not probe");
     }
 
-    let compiled = CompiledXPath::compile("/descendant::w[xancestor::p]").unwrap();
+    let compiled = xpath_plan("/descendant::w[xancestor::p]");
     assert!(compiled.report().existential_probes >= 1);
-    let k = EvalCounters::default();
-    let v = compiled.evaluate_with(&g, &idx, &Context::new(NodeId::Root), true, &k).unwrap();
-    let Value::Nodes(ns) = v else { panic!() };
+    let (ns, k) = xpath_run(&g, &idx, &compiled, true);
     assert_eq!(ns.len(), 2);
-    assert!(k.early_exit_steps.get() >= 1, "the boolean-axis control must probe");
+    assert!(k.early_exit_steps >= 1, "the boolean-axis control must probe");
 
     // Knob off: same nodes, no probes counted.
-    let k0 = EvalCounters::default();
-    let v0 = compiled.evaluate_with(&g, &idx, &Context::new(NodeId::Root), false, &k0).unwrap();
-    assert_eq!(v0, Value::Nodes(ns));
-    assert_eq!(k0.early_exit_steps.get(), 0);
+    let (ns0, k0) = xpath_run(&g, &idx, &compiled, false);
+    assert_eq!(ns0, ns);
+    assert_eq!(k0.early_exit_steps, 0);
 }
 
 /// The chain-join and hoist rewrites fire on corpora built for them, stay
@@ -376,29 +401,23 @@ fn chain_join_and_hoist_counters() {
     let g = nested();
     let idx = StructIndex::build(&g);
 
-    let chain = CompiledXPath::compile("//p//w").unwrap();
+    let chain = xpath_plan("//p//w");
     assert_eq!(chain.report().chain_join_steps, 1);
-    let k = EvalCounters::default();
-    let v = chain.evaluate_with(&g, &idx, &Context::new(NodeId::Root), true, &k).unwrap();
-    let Value::Nodes(ns) = v else { panic!() };
+    let (ns, k) = xpath_run(&g, &idx, &chain, true);
     assert_eq!(ns.len(), 2, "aaa and bbb sit under p; ccc does not");
-    assert!(k.chain_joins.get() >= 1);
-    let k0 = EvalCounters::default();
-    let v0 = chain.evaluate_with(&g, &idx, &Context::new(NodeId::Root), false, &k0).unwrap();
-    assert_eq!(v0, Value::Nodes(ns));
-    assert_eq!(k0.chain_joins.get(), 0);
+    assert!(k.chain_joins >= 1);
+    let (ns0, k0) = xpath_run(&g, &idx, &chain, false);
+    assert_eq!(ns0, ns);
+    assert_eq!(k0.chain_joins, 0);
 
-    let hoist = CompiledXPath::compile("/descendant::w[count(/descendant::p) > 0]").unwrap();
+    let hoist = xpath_plan("/descendant::w[count(/descendant::p) > 0]");
     assert!(hoist.report().hoisted_predicates >= 1);
-    let k = EvalCounters::default();
-    let v = hoist.evaluate_with(&g, &idx, &Context::new(NodeId::Root), true, &k).unwrap();
-    let Value::Nodes(ns) = v else { panic!() };
+    let (ns, k) = xpath_run(&g, &idx, &hoist, true);
     assert_eq!(ns.len(), 3, "the hoisted predicate is true for every w");
-    assert!(k.hoisted_preds.get() >= 1);
-    let k0 = EvalCounters::default();
-    let v0 = hoist.evaluate_with(&g, &idx, &Context::new(NodeId::Root), false, &k0).unwrap();
-    assert_eq!(v0, Value::Nodes(ns));
-    assert_eq!(k0.hoisted_preds.get(), 0);
+    assert!(k.hoisted_preds >= 1);
+    let (ns0, k0) = xpath_run(&g, &idx, &hoist, false);
+    assert_eq!(ns0, ns);
+    assert_eq!(k0.hoisted_preds, 0);
 
     // Same queries through the XQuery engine, both knob settings.
     for src in ["//p//w", "/descendant::w[count(/descendant::p) > 0]"] {

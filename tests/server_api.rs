@@ -320,6 +320,7 @@ fn explain_renders_plans_over_the_wire_and_probe_counters_surface() {
     assert!(text.contains("actual "), "{text}");
     let text = client.explain(Some("ms-a"), QueryLang::XQuery, "//w[xfollowing::line]").unwrap();
     assert!(text.contains("existential probe"), "{text}");
+    assert!(text.contains("actual "), "one explain for both languages: {text}");
 
     // A mistyped `explain` is a protocol error, not a silent query.
     let body = Json::Obj(vec![

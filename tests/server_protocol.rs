@@ -294,3 +294,25 @@ fn abrupt_mid_request_disconnects_leak_no_connections() {
     assert_eq!(sessions.len(), 1, "only the observer remains: {stats}");
     assert!(server.shutdown());
 }
+
+#[test]
+fn a_deeply_nested_query_is_a_parse_error_and_the_daemon_answers_the_next_request() {
+    let server = boot(quick_config(2));
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    let deep = format!("{}1{}", "(".repeat(3000), ")".repeat(3000));
+    for lang in ["xpath", "xquery"] {
+        let body = Json::Obj(vec![
+            ("doc".into(), Json::Str("ms".into())),
+            ("lang".into(), Json::Str(lang.into())),
+            ("query".into(), Json::Str(deep.clone())),
+        ]);
+        let (status, reply) = client.request("POST", "/query", Some(&body)).unwrap();
+        assert_eq!(status, 400, "{lang}: {reply}");
+        let kind = reply.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str);
+        assert_eq!(kind, Some("parse"), "{lang}: {reply}");
+        // The daemon survived: the next request on the same connection
+        // answers normally.
+        assert_eq!(client.xquery("ms", "count(//w)").unwrap().serialized, "3");
+    }
+    assert!(server.shutdown());
+}
