@@ -1,16 +1,16 @@
 //! E16 — network serving: the full `mhxd` stack under concurrent load.
 //!
-//! A load generator drives real TCP clients through `Server` (event
-//! loop → dispatch worker pool → per-connection session state →
-//! `Catalog`), and the snapshot (`BENCH_serve.json`) tracks the
-//! throughput ratios:
+//! A load generator drives real TCP clients through `Server` (one event
+//! loop per worker, each running its connections' requests inline →
+//! per-connection session state → `Catalog`), and the snapshot
+//! (`BENCH_serve.json`) tracks the throughput ratios:
 //!
 //! * `workers1_vs_8` — 8 keep-alive clients **with think time** (a
 //!   remote client is never back-to-back on loopback) served by 1
-//!   dispatch worker vs 8, as a throughput ratio (1.0 = parity). The
-//!   event loop multiplexes every connection regardless of worker
-//!   count, so think time must never serialize connections and a single
-//!   worker holds the whole fleet near parity — the old
+//!   worker vs 8, as a throughput ratio (1.0 = parity). A single event
+//!   loop multiplexes every connection, so think time must never
+//!   serialize connections and one worker holds the whole fleet near
+//!   parity — the old
 //!   worker-per-connection design scored ~0.13 here (client 2 could not
 //!   even connect until client 1 finished), which is exactly the
 //!   regression this row guards against. Parity is machine-independent:
@@ -26,7 +26,7 @@
 //!   `idle_conns_per_extra_thread` — the evented front end's reason to
 //!   exist: park 1000 idle keep-alive connections, then re-run the
 //!   active 8-client workload. Active throughput must hold (the fleet
-//!   costs table entries, not workers), all 1000 connections must be
+//!   costs table entries, not loops), all 1000 connections must be
 //!   accepted and held concurrently, and the fleet must not grow the
 //!   process thread count (worker-per-connection would need a thread
 //!   per parked client).

@@ -11,7 +11,9 @@
 //! * `shard2_vs_single` — aggregate throughput of the 8-client swarm
 //!   through the router over two 2-worker shards vs the same swarm on
 //!   one 2-worker server. Sharding buys capacity by splitting both the
-//!   documents and the worker pools; the CI hard floor (> 1.0) is the
+//!   documents and the event loops that execute requests (one per
+//!   worker, each running its connections' requests inline); the CI
+//!   hard floor (> 1.0) is the
 //!   PR's acceptance bar: scatter/gather must add capacity, not just
 //!   indirection.
 //! * `routed_vs_direct` — sequential single-client throughput through
@@ -30,8 +32,8 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Worker threads per serving node (shard or single). Kept small so the
-/// routed pass wins on capacity, not on an unfairly larger pool; the
+/// Event-loop threads per serving node (shard or single). Kept small so
+/// the routed pass wins on capacity, not on unfairly more loops; the
 /// single-node pass uses the same figure.
 const NODE_WORKERS: usize = 2;
 /// Concurrent swarm: clients × requests with per-request think time.
@@ -186,8 +188,9 @@ fn emit_snapshot(_c: &mut Criterion) {
     let s0 = boot_node(NODE_WORKERS);
     let s1 = boot_node(NODE_WORKERS);
     let pool = Arc::new(BackendPool::new(vec![s0.addr().to_string(), s1.addr().to_string()], 1));
-    // Router workers sized to the swarm: one long-lived connection per
-    // client must fit without queueing behind each other.
+    // Router loops sized to the swarm: each client's long-lived
+    // connection is balanced onto a loop of its own, so no client's
+    // forwarded request waits behind another's.
     let router_config = RouterConfig { workers: CLIENTS, ..RouterConfig::default() };
     let router =
         Router::bind(Arc::clone(&pool), "127.0.0.1:0", router_config).expect("bind router");

@@ -30,8 +30,9 @@ fn usage() -> ! {
          \x20           [--figure1] [--data-dir DIR] [--memory-budget BYTES] [--max-idle SECS]\n\
          \n\
          --listen ADDR          bind address (default 127.0.0.1:7077; port 0 = ephemeral)\n\
-         --workers N            dispatch worker threads — the concurrent request\n\
-         \x20                     execution bound; connections are evented (default 8)\n\
+         --workers N            event-loop threads, each running its connections'\n\
+         \x20                     requests inline — the concurrent request execution\n\
+         \x20                     bound; connections are evented (default 8)\n\
          --doc ID               start document ID; following -h flags attach to it\n\
          --doc ID=FILE          register document ID from a single XML file\n\
          -h NAME=FILE           add hierarchy NAME from XML file FILE (repeatable)\n\

@@ -26,9 +26,10 @@ fn usage() -> ! {
         "usage: mhxr [--listen ADDR] [--workers N] [--replicas K] --shard ADDR [--shard ADDR]...\n\
          \n\
          --listen ADDR      bind address (default 127.0.0.1:7077; port 0 = ephemeral)\n\
-         --workers N        dispatch worker threads — the concurrent request\n\
-         \x20                 execution bound; client connections are evented and\n\
-         \x20                 backend connections pooled (default 8)\n\
+         --workers N        event-loop threads, each running its connections'\n\
+         \x20                 requests inline — the concurrent request execution\n\
+         \x20                 bound; client connections are evented and backend\n\
+         \x20                 connections pooled (default 8)\n\
          --shard ADDR       a backend mhxd address (repeatable; at least one required)\n\
          --replicas K       upload each document to K shards and round-robin reads\n\
          \x20                  (default 1; clamped to the shard count)"

@@ -1,72 +1,86 @@
 //! The evented front end shared by `mhxd` ([`Server`](crate::server::Server))
-//! and `mhxr` ([`Router`](crate::server::Router)): one readiness loop owns
-//! **every** client socket in nonblocking mode, parses requests
-//! incrementally off readiness notifications, and hands complete requests
-//! to the small [`DispatchPool`]. Thread count is `workers + 1` (the
-//! event loop doubles as the acceptor), independent of connection count —
-//! a thousand parked keep-alive clients cost a connection-table entry
-//! each, not a thread each.
+//! and `mhxr` ([`Router`](crate::server::Router)): `workers` readiness
+//! loops, each a complete server with its own poller, waker and
+//! connection table. A loop owns its share of the client sockets in
+//! nonblocking mode, parses requests incrementally off readiness
+//! notifications, and runs every complete request **inline**, on the
+//! thread that read it. Thread count is `workers`, independent of
+//! connection count — a thousand parked keep-alive clients cost a
+//! connection-table entry each, not a thread each — and since a loop runs
+//! one request at a time, `workers` is also the bound on concurrently
+//! executing requests.
 //!
-//! On Linux the loop is raw `epoll(7)` via the same raw-libc discipline
+//! On Linux each loop is raw `epoll(7)` via the same raw-libc discipline
 //! the binaries use for `signal(2)` — no tokio, no mio, offline build.
 //! Elsewhere a degraded tick-based poller keeps the build portable (see
 //! [`sys`]).
 //!
+//! ## Accept
+//!
+//! Every loop watches the listener (`EPOLLEXCLUSIVE` on Linux, so a new
+//! connection wakes one *idle* loop and a loop busy executing never
+//! delays an accept). The accepting loop hands the socket to the loop
+//! with the fewest live connections — ties rotate — through that loop's
+//! inbox and waker (or keeps it, if that loop is itself). The hand-off
+//! runs once per connection, never per request. When `accept` fails for want of descriptors
+//! (`EMFILE`/`ENFILE`) the connection stays in the backlog, so the loop
+//! drops its listener interest until the next poll tick or until one of
+//! its connections closes, rather than spinning on level-triggered
+//! readiness.
+//!
 //! ## Connection table
 //!
-//! Connections live in a table keyed by a monotonically increasing
-//! **token** (never reused, so a stale readiness event for a closed fd
-//! cannot hit a recycled connection). Each entry carries the socket, the
-//! incremental parse buffer + scan offset, the parsed-ahead request
-//! queue, the ordered output buffer, and the front end's per-connection
-//! state ([`Service::Conn`] — session pin, prepared handles, options).
+//! Connections live in their loop's table keyed by a monotonically
+//! increasing **token** (never reused, so a stale readiness event for a
+//! closed fd cannot hit a recycled connection). Each entry carries the
+//! socket, the incremental parse buffer + scan offset, the ordered output
+//! buffer, and the front end's per-connection state ([`Service::Conn`] —
+//! session pin, prepared handles, options), which never leaves the loop
+//! and so needs neither a lock nor `Send`.
 //!
 //! ## Pipelining
 //!
-//! Requests parse ahead into the entry's `pending` queue (bounded by
-//! [`PIPELINE_MAX`]); execution stays **serial per connection** — one
-//! request in a worker at a time, so per-connection state needs no lock
-//! and responses are appended to the output buffer in arrival order. The
-//! worker sends the finished state + formatted bytes back through the
-//! completion queue and wakes the loop, which dispatches the next pending
-//! request. Reads pause (interest is dropped) while the pipeline or the
-//! output backlog is over its cap; level-triggered readiness re-fires
-//! when interest returns.
+//! Requests parse ahead in batches of up to [`PIPELINE_MAX`] and execute
+//! **serially per connection**: each response is appended to the output
+//! buffer in arrival order, the next request runs, and then the buffer
+//! flushes. Reads pause (interest is dropped) while the output backlog is
+//! over [`OUT_MAX`]; level-triggered readiness re-fires when interest
+//! returns. Running inline trades one thing away: a long request delays
+//! the other connections that share its loop (never those on other
+//! loops) until it finishes.
 //!
 //! ## Drain
 //!
-//! Once [`Service::draining`] flips, the loop stops admitting accepted
-//! sockets, closes idle connections within one poll interval, and keeps
-//! running until every in-flight request has been *completely written* —
-//! a response in progress is never truncated. Half-received requests get
+//! Once [`Service::draining`] flips, every loop stops admitting sockets,
+//! closes idle connections within one poll interval, and keeps running
+//! until every response it owes has been *completely written* — a
+//! response in progress is never truncated. Half-received requests get
 //! the request timeout to finish (the same slow-loris bound that applies
 //! while serving), and a hard deadline backstops a peer that never reads
 //! its response.
 
-use crate::server::accept::{DispatchPool, Job};
 use crate::server::http::{self, ParseError, Request};
 use crate::server::wire;
 use mhx_json::Json;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc::Sender;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// What the event loop needs from a front end. `Conn` is the
-/// per-connection state that used to live on a worker's stack; it is
-/// `Send + 'static` because it travels into a worker alongside each
-/// dispatched request and back through the completion queue.
+/// What the event loop needs from a front end.
 pub(crate) trait Service: Send + Sync + 'static {
-    type Conn: Send + 'static;
+    /// Per-connection state. It lives in the owning loop's connection
+    /// table and is only ever touched by that loop's thread.
+    type Conn;
 
     /// A connection was admitted: build its state (and count it).
     fn connect(&self, stream: &TcpStream) -> Self::Conn;
 
-    /// Execute one complete request. Runs on a worker thread; the event
-    /// loop guarantees at most one in-flight request per connection.
+    /// Execute one complete request, inline on the loop that read it;
+    /// requests from one connection arrive here strictly one at a time.
     fn handle(&self, conn: &mut Self::Conn, req: &Request) -> (u16, Json);
 
     /// The connection is gone; release its state.
@@ -76,11 +90,12 @@ pub(crate) trait Service: Send + Sync + 'static {
     fn draining(&self) -> bool;
 
     /// A request was parsed while an earlier one from the same connection
-    /// was still queued or executing (i.e. the client pipelined).
+    /// was still waiting to run (i.e. the client pipelined).
     fn note_pipelined(&self) {}
 }
 
-/// The subset of the front ends' config the loop needs.
+/// The subset of the front ends' config the loops need.
+#[derive(Clone, Copy)]
 pub(crate) struct EventConfig {
     /// `epoll_wait` timeout: bounds drain-notice latency and the timeout
     /// sweep cadence.
@@ -90,16 +105,16 @@ pub(crate) struct EventConfig {
     /// Maximum request body size in bytes.
     pub(crate) max_body: usize,
     /// Close a keep-alive connection that has been completely idle (no
-    /// half-received request, nothing queued or in flight, output
-    /// flushed) for this long. `None` keeps idle connections forever.
+    /// half-received request, output flushed) for this long. `None` keeps
+    /// idle connections forever.
     pub(crate) max_idle: Option<Duration>,
 }
 
 const TOKEN_LISTENER: u64 = 0;
 const FIRST_CONN_TOKEN: u64 = 1;
 
-/// Parse-ahead cap per connection: pipelined requests beyond this stay
-/// in the kernel/read buffer until the queue drains.
+/// Parse-ahead cap per batch: pipelined requests beyond this wait in the
+/// read buffer until the batch before them has run.
 const PIPELINE_MAX: usize = 64;
 /// Output-backlog cap per connection before reads pause (a client that
 /// pipelines but never reads responses must not buffer unbounded).
@@ -109,20 +124,35 @@ const CHUNK: usize = 16 * 1024;
 /// Hard backstop for drain: after this, still-open connections (a peer
 /// not reading its response, a half-request that never finished) are
 /// force-closed so shutdown terminates. In-flight *execution* is bounded
-/// by the engine's own drain, which the owner runs after the loop exits.
+/// by the engine's own drain, which the owner runs after the loops exit.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(30);
 
-/// Handle to a running event loop + its worker pool.
-pub(crate) struct EventLoop {
-    thread: Option<thread::JoinHandle<()>>,
-    pool: DispatchPool,
+/// What a loop shows its siblings: an inbox for sockets handed to it, the
+/// waker that makes it look, and its live-connection count, which the
+/// hand-off balances on.
+struct Peer {
+    inbox: Mutex<Vec<TcpStream>>,
     waker: sys::Waker,
+    live: AtomicUsize,
+}
+
+/// What every loop shares: the listener, one [`Peer`] per loop, and the
+/// accept count that rotates hand-off ties.
+struct Hub {
+    listener: TcpListener,
+    peers: Vec<Peer>,
+    accepts: AtomicUsize,
+}
+
+/// Handle to the running loops.
+pub(crate) struct EventLoop {
+    threads: Vec<thread::JoinHandle<()>>,
+    hub: Arc<Hub>,
 }
 
 impl EventLoop {
-    /// Start the loop thread (named `{name}-event-loop`) plus `workers`
-    /// dispatch workers. The listener is moved into the loop, which also
-    /// accepts — no separate acceptor thread.
+    /// Start `workers` loop threads (named `{name}-loop-{i}`) that share
+    /// the listener and accept on it themselves — no acceptor thread.
     pub(crate) fn start<S: Service>(
         listener: TcpListener,
         name: &str,
@@ -131,50 +161,57 @@ impl EventLoop {
         service: Arc<S>,
     ) -> io::Result<EventLoop> {
         listener.set_nonblocking(true)?;
-        let (mut poller, waker) = sys::Poller::new()?;
-        poller.register(raw_fd(&listener), TOKEN_LISTENER, true, false)?;
-        let pool = DispatchPool::start(name, workers);
-        let lp = Loop {
-            poller,
-            listener,
-            service,
-            cfg,
-            jobs: pool.sender(),
-            completions: Arc::new(Mutex::new(VecDeque::new())),
-            waker: waker.clone(),
-            conns: HashMap::new(),
-            next_token: FIRST_CONN_TOKEN,
-        };
-        let thread = thread::Builder::new()
-            .name(format!("{name}-event-loop"))
-            .spawn(move || lp.run())
-            .expect("spawn event loop thread");
-        Ok(EventLoop { thread: Some(thread), pool, waker })
+        let mut pollers = Vec::new();
+        let mut peers = Vec::new();
+        for _ in 0..workers.max(1) {
+            let (mut poller, waker) = sys::Poller::new()?;
+            poller.register_listener(raw_fd(&listener), TOKEN_LISTENER)?;
+            pollers.push(poller);
+            peers.push(Peer { inbox: Mutex::new(Vec::new()), waker, live: AtomicUsize::new(0) });
+        }
+        let hub = Arc::new(Hub { listener, peers, accepts: AtomicUsize::new(0) });
+        let threads = pollers
+            .into_iter()
+            .enumerate()
+            .map(|(id, poller)| {
+                let service = Arc::clone(&service);
+                let hub = Arc::clone(&hub);
+                thread::Builder::new()
+                    .name(format!("{name}-loop-{id}"))
+                    .spawn(move || {
+                        // Built on its own thread: the connection table,
+                        // and the per-connection state in it, never
+                        // crosses threads.
+                        Loop {
+                            id,
+                            poller,
+                            listening: true,
+                            service,
+                            cfg,
+                            hub,
+                            conns: HashMap::new(),
+                            next_token: FIRST_CONN_TOKEN,
+                        }
+                        .run()
+                    })
+                    .expect("spawn event loop thread")
+            })
+            .collect();
+        Ok(EventLoop { threads, hub })
     }
 
-    /// Join everything. The caller must have flipped its drain flag
-    /// first; the wake-up makes the loop notice immediately instead of
+    /// Join every loop. The caller must have flipped its drain flag
+    /// first; the wake-up makes each loop notice immediately instead of
     /// one poll interval later.
     pub(crate) fn shutdown(&mut self) {
-        self.waker.wake();
-        if let Some(thread) = self.thread.take() {
+        for peer in &self.hub.peers {
+            peer.waker.wake();
+        }
+        for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
-        // The loop thread's job sender is gone with it; closing ours
-        // drains the queue and the workers exit.
-        self.pool.join();
     }
 }
-
-/// A finished request on its way back from a worker.
-struct Completion<C> {
-    token: u64,
-    state: C,
-    bytes: Vec<u8>,
-    keep: bool,
-}
-
-type CompletionQueue<C> = Arc<Mutex<VecDeque<Completion<C>>>>;
 
 /// One connection's slot in the table.
 struct ConnEntry<C> {
@@ -186,15 +223,11 @@ struct ConnEntry<C> {
     /// Ordered outbound bytes; `out_pos` is the flush frontier.
     out: Vec<u8>,
     out_pos: usize,
-    /// Complete requests parsed ahead of execution (pipelining).
-    pending: VecDeque<Request>,
-    /// The front end's per-connection state; `None` exactly while a
-    /// worker holds it (`in_worker`).
-    state: Option<C>,
-    in_worker: bool,
+    /// The front end's per-connection state.
+    state: C,
     close_after_flush: bool,
-    /// A protocol-error response (400/408/413) waiting for the in-flight
-    /// request (if any) to finish, so ordering holds even on errors.
+    /// A protocol-error response (400/408/413) waiting behind the
+    /// requests parsed before it, so ordering holds even on errors.
     fatal: Option<Vec<u8>>,
     /// Peer half-closed its write side; serve what's queued, then close.
     read_closed: bool,
@@ -209,13 +242,14 @@ struct ConnEntry<C> {
 }
 
 struct Loop<S: Service> {
+    /// This loop's index in `hub.peers`.
+    id: usize,
     poller: sys::Poller,
-    listener: TcpListener,
+    /// False while listener interest is dropped after a failed accept.
+    listening: bool,
     service: Arc<S>,
     cfg: EventConfig,
-    jobs: Sender<Job>,
-    completions: CompletionQueue<S::Conn>,
-    waker: sys::Waker,
+    hub: Arc<Hub>,
     conns: HashMap<u64, ConnEntry<S::Conn>>,
     next_token: u64,
 }
@@ -226,13 +260,14 @@ impl<S: Service> Loop<S> {
         let mut drain_started: Option<Instant> = None;
         loop {
             self.poller.wait(&mut events, self.cfg.poll_interval);
-            for ev in std::mem::take(&mut events) {
+            self.arm_listener();
+            self.admit_inbox();
+            for ev in events.drain(..) {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
-                    token => self.conn_ready(token, ev.readable, ev.writable),
+                    token => self.conn_ready(token, ev.readable),
                 }
             }
-            self.drain_completions();
             self.sweep_timeouts();
             if self.service.draining() {
                 let t0 = *drain_started.get_or_insert_with(Instant::now);
@@ -252,221 +287,223 @@ impl<S: Service> Loop<S> {
 
     fn accept_ready(&mut self) {
         loop {
-            match self.listener.accept() {
+            match self.hub.listener.accept() {
                 Ok((stream, _)) => {
                     if self.service.draining() {
                         continue; // reject: drop the socket immediately
                     }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
+                    let target = self.least_loaded();
+                    self.hub.peers[target].live.fetch_add(1, Ordering::Relaxed);
+                    if target == self.id {
+                        self.admit(stream);
+                    } else {
+                        let peer = &self.hub.peers[target];
+                        peer.inbox.lock().unwrap_or_else(PoisonError::into_inner).push(stream);
+                        peer.waker.wake();
                     }
-                    let _ = stream.set_nodelay(true);
-                    let fd = raw_fd(&stream);
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if self.poller.register(fd, token, true, false).is_err() {
-                        continue;
-                    }
-                    let state = self.service.connect(&stream);
-                    self.conns.insert(
-                        token,
-                        ConnEntry {
-                            stream,
-                            fd,
-                            buf: Vec::new(),
-                            scan: 0,
-                            out: Vec::new(),
-                            out_pos: 0,
-                            pending: VecDeque::new(),
-                            state: Some(state),
-                            in_worker: false,
-                            close_after_flush: false,
-                            fatal: None,
-                            read_closed: false,
-                            want_read: true,
-                            want_write: false,
-                            partial_since: None,
-                            last_activity: Instant::now(),
-                        },
-                    );
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                // EMFILE and friends: stop for this round; level-triggered
-                // readiness retries on the next wait.
-                Err(_) => break,
-            }
-        }
-    }
-
-    fn conn_ready(&mut self, token: u64, readable: bool, writable: bool) {
-        if writable {
-            self.flush(token);
-        }
-        let mut read_some = false;
-        {
-            let Some(entry) = self.conns.get_mut(&token) else { return };
-            if readable && entry.want_read && !entry.read_closed {
-                let mut chunk = [0u8; CHUNK];
-                match entry.stream.read(&mut chunk) {
-                    Ok(0) => entry.read_closed = true,
-                    Ok(n) => {
-                        entry.buf.extend_from_slice(&chunk[..n]);
-                        entry.last_activity = Instant::now();
-                        read_some = true;
-                    }
-                    Err(ref e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
-                        ) => {}
-                    Err(_) => {
-                        // Abrupt disconnect (reset mid-request): nothing
-                        // can be sent back; free the slot now.
-                        self.close_now(token);
-                        return;
-                    }
+                Err(ref e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                    ) => {}
+                // EMFILE and friends: the connection stays in the backlog,
+                // so level-triggered readiness would re-fire at once. Stop
+                // listening until the next tick or until a connection here
+                // closes and frees a descriptor.
+                Err(_) => {
+                    let _ = self.poller.deregister(raw_fd(&self.hub.listener), TOKEN_LISTENER);
+                    self.listening = false;
+                    break;
                 }
             }
         }
-        if read_some || self.conns.get(&token).is_some_and(|e| e.read_closed) {
-            self.pump(token);
+    }
+
+    fn arm_listener(&mut self) {
+        if !self.listening {
+            let fd = raw_fd(&self.hub.listener);
+            self.listening = self.poller.register_listener(fd, TOKEN_LISTENER).is_ok();
         }
     }
 
-    /// Parse whatever is buffered, dispatch if the connection is free,
-    /// refresh readiness interest, and flush. Safe to call whenever a
-    /// connection's inputs changed (bytes read, completion landed,
-    /// timeout fired).
+    /// The loop with the fewest live connections. Ties rotate with the
+    /// accept count: a connection that is about to close (a set-up or
+    /// probe connection) still counts, and keeping ties on the accepting
+    /// loop would then stack the next active connections onto one loop.
+    fn least_loaded(&self) -> usize {
+        let peers = &self.hub.peers;
+        let start = self.hub.accepts.fetch_add(1, Ordering::Relaxed);
+        (0..peers.len())
+            .map(|k| (start + k) % peers.len())
+            .min_by_key(|&i| peers[i].live.load(Ordering::Relaxed))
+            .unwrap_or(self.id)
+    }
+
+    /// Admit the sockets sibling loops handed over since the last wait.
+    fn admit_inbox(&mut self) {
+        let handed = std::mem::take(
+            &mut *self.hub.peers[self.id].inbox.lock().unwrap_or_else(PoisonError::into_inner),
+        );
+        for stream in handed {
+            self.admit(stream);
+        }
+    }
+
+    /// Register an accepted socket here and build its state. The socket
+    /// is already counted in this loop's `live`.
+    fn admit(&mut self, stream: TcpStream) {
+        let token = self.next_token;
+        self.next_token += 1;
+        let fd = raw_fd(&stream);
+        if self.service.draining()
+            || stream.set_nonblocking(true).is_err()
+            || self.poller.register(fd, token, true, false).is_err()
+        {
+            self.hub.peers[self.id].live.fetch_sub(1, Ordering::Relaxed);
+            return;
+        }
+        let _ = stream.set_nodelay(true);
+        let state = self.service.connect(&stream);
+        self.conns.insert(
+            token,
+            ConnEntry {
+                stream,
+                fd,
+                buf: Vec::new(),
+                scan: 0,
+                out: Vec::new(),
+                out_pos: 0,
+                state,
+                close_after_flush: false,
+                fatal: None,
+                read_closed: false,
+                want_read: true,
+                want_write: false,
+                partial_since: None,
+                last_activity: Instant::now(),
+            },
+        );
+    }
+
+    /// Read what a readable socket holds, then pump: a readiness event of
+    /// either kind may unblock parsing, execution or the flush.
+    fn conn_ready(&mut self, token: u64, readable: bool) {
+        let Some(entry) = self.conns.get_mut(&token) else { return };
+        if readable && entry.want_read && !entry.read_closed {
+            let mut chunk = [0u8; CHUNK];
+            match entry.stream.read(&mut chunk) {
+                Ok(0) => entry.read_closed = true,
+                Ok(n) => {
+                    entry.buf.extend_from_slice(&chunk[..n]);
+                    entry.last_activity = Instant::now();
+                }
+                Err(ref e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                    ) => {}
+                Err(_) => {
+                    // Abrupt disconnect (reset mid-request): nothing can
+                    // be sent back; free the slot now.
+                    self.close_now(token);
+                    return;
+                }
+            }
+        }
+        self.pump(token);
+    }
+
+    /// Parse what is buffered, run it inline, flush — repeating while a
+    /// capped batch left complete requests behind in the buffer. Safe to
+    /// call whenever a connection's inputs changed (bytes read, socket
+    /// writable, timeout fired).
     fn pump(&mut self, token: u64) {
-        let mut pipelined = 0u32;
-        {
-            let Some(entry) = self.conns.get_mut(&token) else { return };
-            let mut incomplete = false;
-            while entry.fatal.is_none()
-                && entry.pending.len() < PIPELINE_MAX
-                && entry.out.len() - entry.out_pos < OUT_MAX
-            {
-                match http::try_parse(&mut entry.buf, &mut entry.scan, self.cfg.max_body) {
-                    Ok(Some(req)) => {
-                        if entry.in_worker || !entry.pending.is_empty() {
-                            pipelined += 1;
-                        }
-                        entry.pending.push_back(req);
-                    }
-                    Ok(None) => {
-                        incomplete = !entry.buf.is_empty();
-                        break;
-                    }
-                    Err(ParseError::Bad(message)) => {
-                        let body = wire::protocol_error_body("bad_request", &message);
-                        entry.fatal = Some(http::format_response(400, &body.to_string(), false));
-                    }
-                    Err(ParseError::TooLarge) => {
-                        let body =
-                            wire::protocol_error_body("too_large", "request exceeds size limits");
-                        entry.fatal = Some(http::format_response(413, &body.to_string(), false));
-                    }
-                }
-            }
-            entry.partial_since = if incomplete {
-                entry.partial_since.or_else(|| Some(Instant::now()))
-            } else {
-                None
-            };
-            if entry.fatal.is_some() {
-                // A protocol error poisons the connection: drop parsed-
-                // ahead requests (the in-flight one still completes first)
-                // and everything unread.
-                entry.pending.clear();
-                entry.buf.clear();
-                entry.scan = 0;
-                entry.partial_since = None;
-            }
-            if entry.read_closed && incomplete {
-                // Peer quit mid-request; there is nothing to answer.
-                entry.buf.clear();
-                entry.scan = 0;
-                entry.partial_since = None;
+        loop {
+            let batch = self.parse(token);
+            let ran = self.execute(token, batch);
+            self.flush(token);
+            if !ran {
+                break;
             }
         }
-        for _ in 0..pipelined {
+    }
+
+    /// Parse complete requests off the buffer, up to the batch and
+    /// backlog caps. A malformed or oversized request ends the batch and
+    /// queues its protocol-error response instead.
+    fn parse(&mut self, token: u64) -> Vec<Request> {
+        let mut batch = Vec::new();
+        let Some(entry) = self.conns.get_mut(&token) else { return batch };
+        let mut incomplete = false;
+        while entry.fatal.is_none()
+            && !entry.close_after_flush
+            && batch.len() < PIPELINE_MAX
+            && entry.out.len() - entry.out_pos < OUT_MAX
+        {
+            match http::try_parse(&mut entry.buf, &mut entry.scan, self.cfg.max_body) {
+                Ok(Some(req)) => batch.push(req),
+                Ok(None) => {
+                    incomplete = !entry.buf.is_empty();
+                    break;
+                }
+                Err(ParseError::Bad(message)) => {
+                    let body = wire::protocol_error_body("bad_request", &message);
+                    entry.fatal = Some(http::format_response(400, &body.to_string(), false));
+                }
+                Err(ParseError::TooLarge) => {
+                    let body =
+                        wire::protocol_error_body("too_large", "request exceeds size limits");
+                    entry.fatal = Some(http::format_response(413, &body.to_string(), false));
+                }
+            }
+        }
+        entry.partial_since =
+            if incomplete { entry.partial_since.or_else(|| Some(Instant::now())) } else { None };
+        if entry.fatal.is_some() || (entry.read_closed && incomplete) {
+            // A protocol error poisons the connection, and a peer that
+            // quit mid-request left nothing to answer: drop what is
+            // unread.
+            entry.buf.clear();
+            entry.scan = 0;
+            entry.partial_since = None;
+        }
+        for _ in 1..batch.len() {
             self.service.note_pipelined();
         }
-        self.dispatch(token);
-        self.update_interest(token);
-        self.flush(token);
+        batch
     }
 
-    /// Hand the next pending request to a worker (serial per connection),
-    /// or emit a queued fatal response once the line is free.
-    fn dispatch(&mut self, token: u64) {
-        let service = Arc::clone(&self.service);
-        let completions = Arc::clone(&self.completions);
-        let waker = self.waker.clone();
-        let mut job: Option<Job> = None;
-        {
-            let Some(entry) = self.conns.get_mut(&token) else { return };
-            if entry.in_worker || entry.close_after_flush {
-                return;
-            }
-            if entry.fatal.is_none() {
-                if let Some(req) = entry.pending.pop_front() {
-                    let state = entry.state.take().expect("state present when not in a worker");
-                    entry.in_worker = true;
-                    job = Some(Box::new(move || {
-                        let mut state = state;
-                        let (status, body) = service.handle(&mut state, &req);
-                        // Keep-alive folds the client's wish and the drain
-                        // state, exactly like the worker-per-connection
-                        // front end did.
-                        let keep = !req.close && !service.draining();
-                        let bytes = http::format_response(status, &body.to_string(), keep);
-                        completions
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .push_back(Completion { token, state, bytes, keep });
-                        waker.wake();
-                    }));
-                }
-            } else if let Some(bytes) = entry.fatal.take() {
-                entry.out.extend_from_slice(&bytes);
+    /// Run a parsed batch inline, appending each response in arrival
+    /// order, then emit a queued protocol-error response, which ends the
+    /// connection. True if anything was appended.
+    fn execute(&mut self, token: u64, batch: Vec<Request>) -> bool {
+        let Some(entry) = self.conns.get_mut(&token) else { return false };
+        let mut ran = false;
+        for req in batch {
+            let (status, body) = self.service.handle(&mut entry.state, &req);
+            // Keep-alive folds the client's wish and the drain state.
+            let keep = !req.close && !self.service.draining();
+            entry.out.extend_from_slice(&http::format_response(status, &body.to_string(), keep));
+            entry.last_activity = Instant::now();
+            ran = true;
+            if !keep {
                 entry.close_after_flush = true;
+                return ran;
             }
         }
-        if let Some(job) = job {
-            let _ = self.jobs.send(job);
+        if let Some(bytes) = entry.fatal.take() {
+            entry.out.extend_from_slice(&bytes);
+            entry.close_after_flush = true;
+            ran = true;
         }
-    }
-
-    fn drain_completions(&mut self) {
-        loop {
-            let next = {
-                let mut q = self.completions.lock().unwrap_or_else(PoisonError::into_inner);
-                q.pop_front()
-            };
-            let Some(c) = next else { break };
-            match self.conns.get_mut(&c.token) {
-                // The connection died while its request ran; the response
-                // has nowhere to go, but the state still must be released.
-                None => self.service.disconnect(c.state),
-                Some(entry) => {
-                    entry.in_worker = false;
-                    entry.state = Some(c.state);
-                    entry.last_activity = Instant::now();
-                    entry.out.extend_from_slice(&c.bytes);
-                    if !c.keep {
-                        entry.close_after_flush = true;
-                        entry.pending.clear();
-                    }
-                    self.pump(c.token);
-                }
-            }
-        }
+        ran
     }
 
     /// 408 any connection whose half-received request outlived the
     /// request timeout — a byte-trickling client costs a table entry,
-    /// never a worker, and not forever.
+    /// never a loop, and not forever.
     fn sweep_timeouts(&mut self) {
         let timeout = self.cfg.request_timeout;
         let expired: Vec<u64> = self
@@ -488,17 +525,15 @@ impl<S: Service> Loop<S> {
 
     /// Close keep-alive connections that have been completely idle past
     /// `max_idle`: no half-received request (that is the slow-loris
-    /// sweep's job), nothing queued or in flight, output fully flushed.
-    /// Rides the same poll-interval cadence as the timeout sweep.
+    /// sweep's job), output fully flushed. Rides the same poll-interval
+    /// cadence as the timeout sweep.
     fn sweep_idle(&mut self) {
         let Some(max_idle) = self.cfg.max_idle else { return };
         let idle: Vec<u64> = self
             .conns
             .iter()
             .filter(|(_, e)| {
-                !e.in_worker
-                    && e.pending.is_empty()
-                    && e.out_pos >= e.out.len()
+                e.out_pos >= e.out.len()
                     && e.fatal.is_none()
                     && e.partial_since.is_none()
                     && e.last_activity.elapsed() > max_idle
@@ -510,21 +545,16 @@ impl<S: Service> Loop<S> {
         }
     }
 
-    /// During drain, close connections with nothing queued, nothing
-    /// buffered, and nothing in flight. Everything else finishes first.
+    /// During drain, close connections that owe no response. Everything
+    /// else finishes first.
     fn close_idle_for_drain(&mut self) {
         let idle: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, e)| {
-                // A half-received request (non-empty `buf`) does not make a
-                // connection busy: drain never waits on bytes that may never
-                // arrive, only on responses already owed.
-                !e.in_worker
-                    && e.pending.is_empty()
-                    && e.out_pos >= e.out.len()
-                    && e.fatal.is_none()
-            })
+            // A half-received request (non-empty `buf`) does not make a
+            // connection busy: drain never waits on bytes that may never
+            // arrive, only on responses already owed.
+            .filter(|(_, e)| e.out_pos >= e.out.len() && e.fatal.is_none())
             .map(|(t, _)| *t)
             .collect();
         for token in idle {
@@ -564,15 +594,10 @@ impl<S: Service> Loop<S> {
                     }
                 }
             }
-            if !close && entry.out.is_empty() {
-                let served_out = entry.close_after_flush
-                    || (entry.read_closed
-                        && !entry.in_worker
-                        && entry.pending.is_empty()
-                        && entry.fatal.is_none());
-                if served_out {
-                    close = true;
-                }
+            if entry.out.is_empty()
+                && (entry.close_after_flush || (entry.read_closed && entry.fatal.is_none()))
+            {
+                close = true;
             }
         }
         if close {
@@ -588,7 +613,6 @@ impl<S: Service> Loop<S> {
         let read = !entry.read_closed
             && entry.fatal.is_none()
             && !entry.close_after_flush
-            && entry.pending.len() < PIPELINE_MAX
             && backlog < OUT_MAX;
         let write = backlog > 0;
         if read != entry.want_read || write != entry.want_write {
@@ -601,11 +625,11 @@ impl<S: Service> Loop<S> {
     fn close_now(&mut self, token: u64) {
         if let Some(entry) = self.conns.remove(&token) {
             let _ = self.poller.deregister(entry.fd, token);
-            if let Some(state) = entry.state {
-                self.service.disconnect(state);
-            }
-            // `in_worker` state comes home via the completion queue and
-            // is disconnected there.
+            self.service.disconnect(entry.state);
+            self.hub.peers[self.id].live.fetch_sub(1, Ordering::Relaxed);
+            // A descriptor is about to come free: resume accepting if a
+            // failed accept paused it.
+            self.arm_listener();
         }
     }
 }
@@ -628,13 +652,13 @@ fn raw_fd<T>(_t: &T) -> i32 {
 #[cfg(target_os = "linux")]
 mod sys {
     use std::io;
-    use std::sync::Arc;
     use std::time::Duration;
 
     const EPOLLIN: u32 = 0x1;
     const EPOLLOUT: u32 = 0x4;
     const EPOLLERR: u32 = 0x8;
     const EPOLLHUP: u32 = 0x10;
+    const EPOLLEXCLUSIVE: u32 = 1 << 28;
     const EPOLL_CTL_ADD: i32 = 1;
     const EPOLL_CTL_DEL: i32 = 2;
     const EPOLL_CTL_MOD: i32 = 3;
@@ -668,7 +692,6 @@ mod sys {
     pub(super) struct Event {
         pub(super) token: u64,
         pub(super) readable: bool,
-        pub(super) writable: bool,
     }
 
     pub(super) struct Poller {
@@ -677,13 +700,10 @@ mod sys {
     }
 
     /// Write end of the self-pipe; one byte makes `wait` return early.
-    /// Cloned into every worker job.
-    #[derive(Clone)]
-    pub(super) struct Waker(Arc<WakeFd>);
+    /// Sibling loops wake it to hand over a socket, the owner to drain.
+    pub(super) struct Waker(i32);
 
-    struct WakeFd(i32);
-
-    impl Drop for WakeFd {
+    impl Drop for Waker {
         fn drop(&mut self) {
             unsafe { close(self.0) };
         }
@@ -722,7 +742,7 @@ mod sys {
                 return Err(e);
             }
             let poller = Poller { ep, wake_rx: fds[0] };
-            let waker = Waker(Arc::new(WakeFd(fds[1])));
+            let waker = Waker(fds[1]);
             poller.ctl(EPOLL_CTL_ADD, fds[0], WAKE_TOKEN, EPOLLIN)?;
             Ok((poller, waker))
         }
@@ -742,6 +762,14 @@ mod sys {
 
         pub(super) fn modify(&mut self, fd: i32, token: u64, r: bool, w: bool) -> io::Result<()> {
             self.ctl(EPOLL_CTL_MOD, fd, token, interest(r, w))
+        }
+
+        /// Watch a listener shared with sibling loops: `EPOLLEXCLUSIVE`
+        /// wakes one waiting loop per connection instead of all of them
+        /// (kernels before 4.5 reject the flag and get a plain watch).
+        pub(super) fn register_listener(&mut self, fd: i32, token: u64) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, fd, token, EPOLLIN | EPOLLEXCLUSIVE)
+                .or_else(|_| self.ctl(EPOLL_CTL_ADD, fd, token, EPOLLIN))
         }
 
         pub(super) fn deregister(&mut self, fd: i32, _token: u64) -> io::Result<()> {
@@ -765,13 +793,9 @@ mod sys {
                     while unsafe { read(self.wake_rx, sink.as_mut_ptr(), sink.len()) } > 0 {}
                     continue;
                 }
-                // ERR/HUP surface as readability/writability so the
-                // nonblocking I/O discovers the condition and closes.
-                out.push(Event {
-                    token,
-                    readable: events & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0,
-                    writable: events & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
-                });
+                // ERR/HUP surface as readability so the nonblocking read
+                // discovers the condition and closes.
+                out.push(Event { token, readable: events & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0 });
             }
         }
     }
@@ -780,7 +804,7 @@ mod sys {
         pub(super) fn wake(&self) {
             let byte = 1u8;
             // A full pipe is fine: the loop is already awake-pending.
-            unsafe { write(self.0 .0, &byte, 1) };
+            unsafe { write(self.0, &byte, 1) };
         }
     }
 }
@@ -794,16 +818,14 @@ mod sys {
     pub(super) struct Event {
         pub(super) token: u64,
         pub(super) readable: bool,
-        pub(super) writable: bool,
     }
 
     pub(super) struct Poller {
         interests: HashMap<u64, (bool, bool)>,
     }
 
-    /// No self-pipe on the tick poller: the short tick bounds completion
-    /// latency instead.
-    #[derive(Clone)]
+    /// No self-pipe on the tick poller: the short tick bounds hand-off
+    /// and drain latency instead.
     pub(super) struct Waker;
 
     impl Poller {
@@ -827,6 +849,10 @@ mod sys {
             Ok(())
         }
 
+        pub(super) fn register_listener(&mut self, fd: i32, token: u64) -> io::Result<()> {
+            self.register(fd, token, true, false)
+        }
+
         pub(super) fn deregister(&mut self, _fd: i32, token: u64) -> io::Result<()> {
             self.interests.remove(&token);
             Ok(())
@@ -837,7 +863,7 @@ mod sys {
             std::thread::sleep(timeout.min(Duration::from_millis(5)));
             for (&token, &(r, w)) in &self.interests {
                 if r || w {
-                    out.push(Event { token, readable: r, writable: w });
+                    out.push(Event { token, readable: r });
                 }
             }
         }

@@ -1,7 +1,6 @@
 //! Request handling for the daemon: the endpoint router plus the owned
 //! per-connection state (pinned document, prepared-statement table,
-//! evaluation options) that lives in the event loop's connection table
-//! and travels into a worker with each request.
+//! evaluation options) that lives in its event loop's connection table.
 //!
 //! Endpoints (all bodies JSON, see [`super::wire`]):
 //!
@@ -31,7 +30,7 @@ use std::sync::atomic::Ordering;
 pub(crate) const MAX_PREPARED_PER_CONN: usize = 256;
 
 /// Mutable per-connection state. Owned (`'static`) so it can live in the
-/// event loop's connection table and move into workers: instead of
+/// event loop's connection table between requests: instead of
 /// holding a borrowing [`Session`] across requests, the connection pins a
 /// *document id* and opens a short-lived session per request
 /// ([`pin_session`]) — sessions are cheap handles, and the per-session
@@ -56,8 +55,8 @@ impl ConnState {
     }
 }
 
-/// Route one parsed request. Runs on a dispatch worker; the event loop
-/// guarantees requests from one connection arrive here serially.
+/// Route one parsed request. Runs inline on the event loop that read it,
+/// which guarantees requests from one connection arrive here serially.
 pub(crate) fn route(
     shared: &Shared,
     catalog: &Catalog,

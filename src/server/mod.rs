@@ -1,39 +1,38 @@
 //! # `mhxd` — the catalog on the wire
 //!
-//! A std-only **evented** HTTP/1.1 front end for [`Catalog`]: one epoll
-//! readiness loop (raw `epoll(7)` on Linux, see `event.rs`) owns every
-//! client socket in nonblocking mode and parses requests incrementally;
-//! complete requests are handed to a fixed pool of dispatch workers.
-//! Thread count is `workers + 1` regardless of connection count, so
-//! thousands of idle keep-alive clients cost a connection-table entry
-//! each, not a thread each. Per-connection state (pinned document,
-//! per-connection [`EvalOptions`] knobs, prepared-statement handles)
-//! lives in the loop's connection table and travels into a worker with
-//! each request.
+//! A std-only **evented** HTTP/1.1 front end for [`Catalog`]: a fixed set
+//! of readiness loops (raw `epoll(7)` on Linux, see `event.rs`), one per
+//! worker, each owning its share of the client sockets in nonblocking
+//! mode, parsing requests incrementally and running each complete request
+//! inline on the thread that read it. Thread count is `workers`
+//! regardless of connection count, so thousands of idle keep-alive
+//! clients cost a connection-table entry each, not a thread each.
+//! Per-connection state (pinned document, per-connection
+//! [`EvalOptions`] knobs, prepared-statement handles) lives in its loop's
+//! connection table and never leaves that thread.
 //!
 //! ```text
-//!      TcpListener ──► event loop (1 thread: accept + epoll readiness)
-//!                         │ connection table: fd token → buffers +
-//!                         │   ConnState (doc pin, prepared, options)
-//!                         │ complete requests → mpsc job queue
-//!            ┌────────────┼────────────┐
-//!        worker 0     worker 1  …  worker N-1   (ServerConfig::workers)
-//!            │ route → respond (bytes back via completion queue)
+//!                      TcpListener (watched by every loop)
+//!            ┌───────────────┼───────────────┐
+//!         loop 0          loop 1    …     loop N-1    (ServerConfig::workers)
+//!   accept → hand the socket to the loop with the fewest connections
+//!   connection table: token → buffers + ConnState (doc pin, prepared,
+//!     options); parse → route → respond, inline, then flush
+//!            └───────────────┼───────────────┘
 //!        Session ──► Catalog (&self queries, shared plan cache)
 //! ```
 //!
-//! Requests pipeline: the loop parses ahead while earlier requests run,
-//! execution stays serial per connection, and responses flush strictly
-//! in arrival order.
+//! Requests pipeline: a loop parses ahead, execution stays serial per
+//! connection, and responses flush strictly in arrival order.
 //!
 //! No tokio, no hyper: the build is offline (see the `vendor/` shim
-//! convention), and `std::net` + raw-libc epoll + a thread pool serve the
-//! engine's `&self`-query design directly — the catalog was made
-//! `Send + Sync` for exactly this.
+//! convention), and `std::net` + raw-libc epoll + one loop thread per
+//! worker serve the engine's `&self`-query design directly — the catalog
+//! was made `Send + Sync` for exactly this.
 //!
 //! **Graceful shutdown.** [`Server::shutdown`] flips the drain flag,
 //! [`Catalog::begin_shutdown`]s the engine (in-flight evaluations finish,
-//! new ones get 503), and wakes the event loop, which stops admitting
+//! new ones get 503), and wakes every loop, each of which stops admitting
 //! connections, closes idle ones within one poll interval, and completes
 //! every response in flight before exiting — no request is dropped
 //! mid-response.
@@ -46,7 +45,6 @@
 //! `mhxd` backends and the [`Router`] speaks this same wire protocol in
 //! front of them, with replication and drain-aware failover.
 
-mod accept;
 pub mod client;
 mod event;
 mod handler;
@@ -74,11 +72,12 @@ use std::time::Duration;
 /// Tuning knobs for [`Server::bind`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Dispatch worker threads — the concurrent request execution bound.
-    /// Connections are evented, so idle keep-alive clients cost no
-    /// threads regardless of this setting.
+    /// Event-loop threads, each running its connections' requests inline
+    /// — so also the concurrent request execution bound. Connections are
+    /// evented, so idle keep-alive clients cost no threads regardless of
+    /// this setting.
     pub workers: usize,
-    /// The event loop's `epoll_wait` tick: the upper bound on how stale
+    /// The event loops' `epoll_wait` tick: the upper bound on how stale
     /// the drain flag and timeout sweep can get with no socket activity.
     pub poll_interval: Duration,
     /// How long a started request may take to arrive completely.
@@ -154,7 +153,7 @@ pub(crate) struct ConnSnapshot {
     pub(crate) eval: EvalStats,
 }
 
-/// State shared by the event loop, the workers, and the [`Server`] handle.
+/// State shared by the event loops and the [`Server`] handle.
 pub(crate) struct Shared {
     pub(crate) catalog: Arc<Catalog>,
     pub(crate) config: ServerConfig,
@@ -218,7 +217,7 @@ impl Shared {
     }
 }
 
-/// The daemon's [`Service`]: glues the event loop to the engine — counts
+/// The daemon's [`Service`]: glues the event loops to the engine — counts
 /// connections and requests, owns the drain flag, and routes each
 /// complete request through [`handler`].
 struct ServerService {
@@ -264,10 +263,9 @@ impl Service for ServerService {
     }
 }
 
-/// The running daemon: a bound listener, its event loop, and the worker
-/// pool. Dropping without [`Server::shutdown`] detaches the threads
-/// (they keep serving until the process exits) — daemons should always
-/// shut down explicitly.
+/// The running daemon: a bound listener and its event loops. Dropping
+/// without [`Server::shutdown`] detaches the threads (they keep serving
+/// until the process exits) — daemons should always shut down explicitly.
 ///
 /// ```
 /// use multihier_xquery::prelude::*;
@@ -295,7 +293,7 @@ pub struct Server {
 
 impl Server {
     /// Bind `addr` (use port 0 for an ephemeral port) and start the
-    /// event loop plus `config.workers` worker threads.
+    /// `config.workers` event-loop threads.
     pub fn bind(catalog: Arc<Catalog>, addr: &str, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
@@ -356,7 +354,7 @@ impl Server {
 
     /// True once a client posted `/shutdown` (or [`Server::request_shutdown`]
     /// ran). The owner of the `Server` is expected to poll this and call
-    /// [`Server::shutdown`] — a worker cannot join its own pool.
+    /// [`Server::shutdown`] — a loop thread cannot join itself.
     pub fn shutdown_requested(&self) -> bool {
         self.shared.shutdown_requested.load(Ordering::SeqCst)
     }
@@ -373,8 +371,8 @@ impl Server {
     pub fn shutdown(mut self) -> bool {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.catalog.begin_shutdown();
-        // The event loop is woken immediately, finishes every in-flight
-        // response, then exits; its workers join behind it.
+        // Every loop is woken immediately, finishes the responses it owes,
+        // then exits.
         self.evloop.shutdown();
         self.shared.catalog.drain(Duration::from_secs(30))
     }

@@ -39,7 +39,7 @@
 //!
 //! Backend connections are **pooled, not pinned**: a small LIFO free
 //! list per shard (`RouterCore`) is shared by every client connection,
-//! so a thousand idle clients parked on the router's event loop hold
+//! so a thousand idle clients parked on the router's event loops hold
 //! zero backend sockets — backend connection count tracks *concurrent
 //! request execution* (bounded by the worker count), not client count.
 //! Because a pooled backend session is shared across clients, the router
@@ -68,8 +68,9 @@ use std::time::Duration;
 /// [`ServerConfig`](crate::server::ServerConfig)).
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Dispatch worker threads: the concurrent request execution bound
-    /// (connection count is bounded only by file descriptors).
+    /// Event-loop threads, each running its connections' requests inline
+    /// — so also the concurrent request execution bound (connection count
+    /// is bounded only by file descriptors).
     pub workers: usize,
     /// Event-loop wait timeout: bounds drain-notice latency.
     pub poll_interval: Duration,
@@ -90,8 +91,7 @@ impl Default for RouterConfig {
     }
 }
 
-/// State shared by the router's event loop, workers, and the [`Router`]
-/// handle.
+/// State shared by the router's event loops and the [`Router`] handle.
 pub(crate) struct RouterShared {
     core: RouterCore,
     config: RouterConfig,
@@ -110,8 +110,8 @@ impl RouterShared {
     }
 }
 
-/// The running router: a bound listener, its event loop, and the worker
-/// pool. Like [`Server`](crate::server::Server), dropping without
+/// The running router: a bound listener and its event loops. Like
+/// [`Server`](crate::server::Server), dropping without
 /// [`Router::shutdown`] detaches the threads.
 ///
 /// ```

@@ -10,7 +10,7 @@ use multihier_xquery::server::client::Client;
 use multihier_xquery::server::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -315,4 +315,199 @@ fn a_deeply_nested_query_is_a_parse_error_and_the_daemon_answers_the_next_reques
         assert_eq!(client.xquery("ms", "count(//w)").unwrap().serialized, "3");
     }
     assert!(server.shutdown());
+}
+
+/// Held by the tests that time CPU-bound queries against each other, so
+/// that on a small machine they do not measure one another's load.
+static CPU_TIMED: Mutex<()> = Mutex::new(());
+
+/// A 2-loop server over a document large enough that [`slow_query`]
+/// costs real CPU.
+fn boot_with_big_doc() -> Server {
+    let xml = format!("<r>{}</r>", "<w>ab</w> ".repeat(2000));
+    let catalog = Arc::new(Catalog::new());
+    catalog.insert("big", GoddagBuilder::new().hierarchy("w", &xml).build().unwrap());
+    Server::bind(catalog, "127.0.0.1:0", quick_config(2)).expect("bind ephemeral port")
+}
+
+/// A query whose cost grows linearly with `k` (one full predicate scan of
+/// the big document per iteration); it counts to `k`.
+fn slow_query(k: u64) -> Vec<u8> {
+    let body = format!(
+        r#"{{"doc":"big","lang":"xquery","query":"count(for $i in 1 to {k} return count(/descendant::w[string-length(string(.)) > $i mod 3]))"}}"#
+    );
+    format!(
+        "POST /query HTTP/1.1\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+/// Double `k` until one [`slow_query`] takes at least 300 ms on this
+/// build and machine; returns `k` and that query's time. The calibrating
+/// connection is closed (and reclaimed) before returning, so it does not
+/// weigh on where the caller's next connections are placed.
+fn calibrate_slow_query(server: &Server) -> (u64, Duration) {
+    let mut conn = RawConn::connect(server);
+    let mut k = 8;
+    let took = loop {
+        let t0 = Instant::now();
+        conn.send(&slow_query(k));
+        let (status, body) = conn.read_response();
+        let took = t0.elapsed();
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(serialized_of(&body), k.to_string());
+        if took >= Duration::from_millis(300) {
+            break took;
+        }
+        assert!(k < 1 << 20, "query never reached 300 ms");
+        k *= 2;
+    };
+    drop(conn);
+    let t0 = Instant::now();
+    while server.stats().active_connections > 0 {
+        assert!(t0.elapsed() < Duration::from_secs(5), "calibration connection never closed");
+        thread::sleep(Duration::from_millis(5));
+    }
+    (k, took)
+}
+
+#[test]
+fn a_long_request_delays_only_its_own_loop_and_new_connections_are_served() {
+    let _cpu = CPU_TIMED.lock().unwrap_or_else(PoisonError::into_inner);
+    let server = boot_with_big_doc();
+    let (k, _) = calibrate_slow_query(&server);
+
+    // A's slow query occupies one of the two loops…
+    let mut a = RawConn::connect(&server);
+    a.send(&slow_query(k));
+    thread::sleep(Duration::from_millis(50));
+
+    // …while a newly opened connection B is accepted by the idle loop,
+    // placed there (the busy loop holds more connections), and answered
+    // without waiting for A.
+    let t0 = Instant::now();
+    let mut b = RawConn::connect(&server);
+    b.send(b"GET /healthz HTTP/1.1\r\n\r\n");
+    let (status, body) = b.read_response();
+    let healthz = t0.elapsed();
+    assert_eq!(status, 200, "{body}");
+    assert!(healthz < Duration::from_millis(100), "/healthz waited behind A: {healthz:?}");
+
+    let (status, body) = a.read_response();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(serialized_of(&body), k.to_string());
+    assert!(server.shutdown());
+}
+
+#[test]
+fn two_long_requests_on_fresh_connections_run_on_different_loops() {
+    let _cpu = CPU_TIMED.lock().unwrap_or_else(PoisonError::into_inner);
+    let server = boot_with_big_doc();
+    let (k, one) = calibrate_slow_query(&server);
+
+    // Two fresh connections are balanced onto the two loops, so their
+    // slow queries overlap instead of running back to back.
+    let mut a = RawConn::connect(&server);
+    let mut b = RawConn::connect(&server);
+    let t0 = Instant::now();
+    a.send(&slow_query(k));
+    b.send(&slow_query(k));
+    let finished: Vec<Duration> = thread::scope(|s| {
+        let readers = [&mut a, &mut b].map(|conn| {
+            s.spawn(move || {
+                let (status, body) = conn.read_response();
+                assert_eq!(status, 200, "{body}");
+                assert_eq!(serialized_of(&body), k.to_string());
+                t0.elapsed()
+            })
+        });
+        readers.map(|r| r.join().expect("reader thread")).into()
+    });
+    let both = finished[0].max(finished[1]);
+    let gap = both - finished[0].min(finished[1]);
+    // Back to back on one loop, the second answer trails the first by a
+    // whole query. Overlapping, they finish together; the total is not
+    // asserted, because two vCPUs that are hyperthreads of one core run
+    // two busy threads at well under twice the speed of one.
+    assert!(
+        gap < one / 2,
+        "answers {gap:?} apart (both done after {both:?}, one query takes {one:?}): \
+         the two queries ran back to back on one loop"
+    );
+    assert!(server.shutdown());
+}
+
+/// Out of descriptors, `accept` fails while the connection stays in the
+/// backlog. The daemon must idle, not spin on the still-ready listener,
+/// and serve again once descriptors come free.
+#[cfg(target_os = "linux")]
+#[test]
+fn running_out_of_descriptors_does_not_spin_the_accept_loop() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+
+    /// User + system CPU seconds of `pid` (`/proc/<pid>/stat` fields 14
+    /// and 15, in USER_HZ = 100 ticks per second).
+    fn cpu_seconds(pid: u32) -> f64 {
+        let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read stat");
+        // Fields after the parenthesised command name, which may hold
+        // spaces; utime and stime are the 12th and 13th of those.
+        let rest = &stat[stat.rfind(')').expect("comm field") + 2..];
+        let fields: Vec<&str> = rest.split_whitespace().collect();
+        let ticks: u64 = fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap();
+        ticks as f64 / 100.0
+    }
+
+    let mut child = Command::new("sh")
+        .args(["-c", "ulimit -n 24; exec \"$0\" --listen 127.0.0.1:0 --workers 2"])
+        .arg(env!("CARGO_BIN_EXE_mhxd"))
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn mhxd");
+    let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
+    let mut line = String::new();
+    let addr = loop {
+        line.clear();
+        assert!(stderr.read_line(&mut line).unwrap_or(0) > 0, "mhxd exited before serving");
+        if let Some(ix) = line.find("http://") {
+            let rest = &line[ix + "http://".len()..];
+            break rest[..rest.find(char::is_whitespace).unwrap_or(rest.len())].to_string();
+        }
+    };
+    thread::spawn(move || {
+        let mut sink = String::new();
+        while stderr.read_line(&mut sink).map(|n| n > 0).unwrap_or(false) {
+            sink.clear();
+        }
+    });
+
+    // 40 connections against a 24-descriptor limit: the kernel completes
+    // every handshake, the daemon can accept only some of them.
+    let conns: Vec<TcpStream> =
+        (0..40).map(|_| TcpStream::connect(&addr).expect("connect")).collect();
+    thread::sleep(Duration::from_millis(300));
+    let before = cpu_seconds(child.id());
+    thread::sleep(Duration::from_secs(2));
+    let burned = cpu_seconds(child.id()) - before;
+
+    // Free the descriptors; the daemon serves again.
+    drop(conns);
+    let t0 = Instant::now();
+    let healthy = loop {
+        let ok = Client::connect(&addr)
+            .ok()
+            .and_then(|mut c| c.request("GET", "/healthz", None).ok())
+            .is_some_and(|(status, _)| status == 200);
+        if ok || t0.elapsed() > Duration::from_secs(10) {
+            break ok;
+        }
+        thread::sleep(Duration::from_millis(50));
+    };
+    let _ = child.kill();
+    let _ = child.wait();
+    assert!(burned < 0.3, "idle daemon burned {burned:.2} CPU-s in 2 s at the descriptor limit");
+    assert!(healthy, "/healthz did not answer after the descriptors came free");
 }
