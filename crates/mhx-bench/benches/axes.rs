@@ -8,6 +8,7 @@
 //! the index subsystem: ≥5× on the selective axes).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mhx_bench::snapshot::{self, Metric};
 use mhx_corpus::{generate, GeneratorConfig};
 use mhx_goddag::axes::{axis_nodes, setsem, Axis};
 use mhx_goddag::{Goddag, NodeId, StructIndex};
@@ -182,6 +183,7 @@ fn emit_snapshot(_c: &mut Criterion) {
     };
 
     let mut rows = Vec::new();
+    let mut gate = Vec::new();
     for axis in EXTENDED {
         let scan = median_ns(&|| {
             for &n in &ctxs {
@@ -201,6 +203,9 @@ fn emit_snapshot(_c: &mut Criterion) {
             indexed,
             scan / indexed
         ));
+        // Healthy = the index subsystem's original ≥5x acceptance bar; the
+        // hard floor keeps every indexed axis at least twice the scan.
+        gate.push(Metric::new(format!("axes:{}:speedup", axis.name()), scan / indexed, 5.0, 2.0));
         println!(
             "{:<24} scan {:>12.0} ns   indexed {:>12.0} ns   speedup {:>8.1}x",
             axis.name(),
@@ -212,17 +217,16 @@ fn emit_snapshot(_c: &mut Criterion) {
     let build_ns = median_ns(&|| {
         black_box(StructIndex::build(&g));
     });
-    let json = format!(
-        "{{\n  \"bench\": \"axes_indexed_vs_scan\",\n  \"nodes\": {},\n  \
-         \"contexts_per_measure\": {},\n  \"index_build_ns\": {:.0},\n  \"axes\": [\n{}\n  ]\n}}\n",
+    let fields = format!(
+        "  \"bench\": \"axes_indexed_vs_scan\",\n  \"nodes\": {},\n  \
+         \"contexts_per_measure\": {},\n  \"index_build_ns\": {:.0},\n  \"axes\": [\n{}\n  ]",
         node_count,
         ctxs.len(),
         build_ns,
         rows.join(",\n")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_axes.json");
-    std::fs::write(path, json).expect("write BENCH_axes.json");
-    println!("wrote {path} ({node_count} nodes, index build {build_ns:.0} ns)");
+    let path = snapshot::write("axes", &fields, &gate);
+    println!("wrote {} ({node_count} nodes, index build {build_ns:.0} ns)", path.display());
 }
 
 criterion_group!(

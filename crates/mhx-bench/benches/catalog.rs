@@ -13,6 +13,7 @@
 //! once *per document* under private caches.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mhx_bench::snapshot::{self, Metric};
 use mhx_corpus::{generate, GeneratorConfig};
 use mhx_goddag::Goddag;
 use multihier_xquery::prelude::{Catalog, Engine};
@@ -163,16 +164,24 @@ fn emit_snapshot(_c: &mut Criterion) {
     let per_doc_misses: u64 = engines.iter().map(|e| e.cache_stats().misses).sum();
     let per_doc_hits: u64 = engines.iter().map(|e| e.cache_stats().hits).sum();
 
-    let json = format!(
-        "{{\n  \"bench\": \"catalog_shared_plan_cache\",\n  \
+    // The gate tracks the deterministic cache-effectiveness ratios
+    // (counter-derived, so noise-free); the raw pass timings above are
+    // deliberately untracked.
+    let hit_rate = shared_stats.hits as f64 / (shared_stats.hits + shared_stats.misses) as f64;
+    let compile_reduction = per_doc_misses as f64 / shared_stats.misses.max(1) as f64;
+    let gate = [
+        Metric::new("catalog:hit_rate", hit_rate, 0.9, 0.5),
+        Metric::new("catalog:compile_reduction", compile_reduction, 2.0, 1.5),
+    ];
+    let fields = format!(
+        "  \"bench\": \"catalog_shared_plan_cache\",\n  \
          \"documents\": {N_DOCS},\n  \"query_texts\": {},\n  \"rounds\": {ROUNDS},\n  \
          \"queries_per_pass\": {queries_per_pass},\n  \
          \"shared\": {{\"cold_pass_ns\": {:.0}, \"warm_pass_ns\": {:.0}, \
          \"warm_per_query_ns\": {:.0}, \"compiles\": {}, \"hits\": {}, \
          \"cross_doc_hits\": {}, \"hit_rate\": {:.3}}},\n  \
          \"per_doc_caches\": {{\"cold_pass_ns\": {:.0}, \"compiles\": {}, \"hits\": {}}},\n  \
-         \"compile_reduction\": \"{}x fewer compiles than per-document caches\",\n  \
-         \"cold_speedup\": {:.2}\n}}\n",
+         \"cold_speedup\": {:.2}",
         XPATH_QUERIES.len() + XQUERY_QUERIES.len(),
         shared_cold,
         shared_warm,
@@ -180,15 +189,13 @@ fn emit_snapshot(_c: &mut Criterion) {
         shared_stats.misses,
         shared_stats.hits,
         shared_stats.cross_doc_hits,
-        shared_stats.hits as f64 / (shared_stats.hits + shared_stats.misses) as f64,
+        hit_rate,
         per_doc_cold,
         per_doc_misses,
         per_doc_hits,
-        per_doc_misses / shared_stats.misses.max(1),
         per_doc_cold / shared_cold,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_catalog.json");
-    std::fs::write(path, &json).expect("write BENCH_catalog.json");
+    let path = snapshot::write("catalog", &fields, &gate);
     println!(
         "shared catalog: {queries_per_pass} queries/pass, {} compiles ({} cross-doc hits), \
          cold {shared_cold:.0} ns, warm {shared_warm:.0} ns",
@@ -199,7 +206,7 @@ fn emit_snapshot(_c: &mut Criterion) {
          ({:.2}x vs shared)",
         per_doc_cold / shared_cold
     );
-    println!("wrote {path}");
+    println!("wrote {}", path.display());
 }
 
 criterion_group!(benches, catalog_vs_per_doc, emit_snapshot);

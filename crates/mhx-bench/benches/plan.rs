@@ -13,10 +13,11 @@
 //! must leave alone (the parity floor).
 //!
 //! The machine-readable snapshot goes to `BENCH_plan.json` at the
-//! workspace root; its `speedups` object is what the `bench-check` CI
-//! gate tracks.
+//! workspace root; its `gate` rows are what the `bench-check` CI gate
+//! tracks.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mhx_bench::snapshot::{self, Metric};
 use mhx_corpus::{generate, GeneratorConfig};
 use mhx_goddag::{Goddag, StructIndex};
 use mhx_xquery::{CompiledXQuery, EvalOptions, Item};
@@ -38,40 +39,56 @@ fn large_corpus() -> Goddag {
     g
 }
 
-/// label → query. The first group profits from rewrites; the `positional_*`
-/// rows are untouched by design and gate parity.
-fn queries() -> Vec<(&'static str, &'static str)> {
+/// One measured query: label, XPath text, and the gate floors of its
+/// optimized-vs-as-written speedup, `(healthy, hard_min)`.
+type Query = (&'static str, &'static str, (f64, f64));
+
+/// The rewrite-profiting shapes must stay well ahead: the ≥2x bar.
+const AHEAD: (f64, f64) = (2.5, 2.0);
+/// Queries the optimizer leaves alone only must not fall behind.
+const PARITY: (f64, f64) = (1.0, 0.6);
+
+/// The first group profits from rewrites; the `positional_*` rows are
+/// untouched by design and gate parity.
+fn queries() -> Vec<Query> {
     vec![
         // Pure `//` fusion: four desugared tree walks become one indexed
         // name scan.
-        ("fused_scan", "//e0"),
+        ("fused_scan", "//e0", AHEAD),
         // `//` fusion + batch-routed extended-axis predicate.
-        ("fused_ext_pred", "//s0[xancestor::e0]"),
+        ("fused_ext_pred", "//s0[xancestor::e0]", AHEAD),
         // Wide-context predicated step: 900+ e0 contexts, the predicate
         // runs once per unique candidate instead of per (ctx, candidate).
-        ("wide_pred_batch", "/descendant::e0/descendant::s0[contains(string(.), 'sin')]"),
+        ("wide_pred_batch", "/descendant::e0/descendant::s0[contains(string(.), 'sin')]", AHEAD),
         // Fusion + overlap-axis predicate.
-        ("overlap_fused", "//s0[overlapping::e1]"),
+        ("overlap_fused", "//s0[overlapping::e1]", AHEAD),
         // Reordering: the cheap string test moves before the span lookup.
-        ("reorder_cheap_first", "/descendant::s0[xpreceding::e1][contains(string(.), 'sin')]"),
+        // The win depends on predicate selectivity, so it gates above
+        // break-even only.
+        (
+            "reorder_cheap_first",
+            "/descendant::s0[xpreceding::e1][contains(string(.), 'sin')]",
+            (1.5, 1.0),
+        ),
         // Round 2 — existential early-exit: the boolean axis predicate
         // stops at the first witness instead of materializing xfollowing
-        // per candidate.
-        ("existential_early_exit", "//e0[xfollowing::e1]"),
+        // per candidate. It must stay an order of magnitude ahead (≥20x).
+        ("existential_early_exit", "//e0[xfollowing::e1]", (25.0, 20.0)),
         // Round 2 — containment-chain join: two descendant name scans
         // become one merge join over the laminar containment chains.
-        ("chain_join", "/descendant::e0/descendant::s0"),
+        ("chain_join", "/descendant::e0/descendant::s0", AHEAD),
         // Round 2 — predicate hoisting: the context-independent count()
         // evaluates once per step, not once per candidate.
-        ("hoisted_pred", "/descendant::e0[count(/descendant::e1) > 0]"),
+        ("hoisted_pred", "/descendant::e0[count(/descendant::e1) > 0]", (5.0, 2.0)),
         // Round 2 — stats-driven ordering: both predicates are axis paths
         // with equal static weight, so only the document's name counts
         // (e0 is rarer than e1 on this corpus) decide that the
-        // written-second predicate runs first.
-        ("stats_reorder", "/descendant::s0[xdescendant::e1][xpreceding::e0]"),
+        // written-second predicate runs first. Routed + probed it runs
+        // well ahead, and the floor guards that combined win.
+        ("stats_reorder", "/descendant::s0[xdescendant::e1][xpreceding::e0]", (8.0, 4.0)),
         // Positional queries the optimizer must not touch — parity gates.
-        ("positional_parity", "/descendant::e0[position() = 2]/xfollowing::*"),
-        ("positional_last", "/descendant::e0[last()]"),
+        ("positional_parity", "/descendant::e0[position() = 2]/xfollowing::*", PARITY),
+        ("positional_last", "/descendant::e0[last()]", PARITY),
     ]
 }
 
@@ -90,7 +107,7 @@ fn optimized_vs_as_written(c: &mut Criterion) {
     let idx = StructIndex::build(&g);
     let mut grp = c.benchmark_group("e16_plan_optimizer");
     grp.sample_size(10).measurement_time(Duration::from_millis(600));
-    for (label, src) in queries() {
+    for (label, src, _) in queries() {
         let q = compile(src);
         grp.bench_function(format!("as_written_{label}"), |b| {
             b.iter(|| black_box(eval(&g, &idx, &q, false)))
@@ -122,8 +139,8 @@ fn emit_snapshot(_c: &mut Criterion) {
     };
 
     let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    for (label, src) in queries() {
+    let mut gate = Vec::new();
+    for (label, src, (healthy, hard_min)) in queries() {
         let q = compile(src);
         // Differential safety net: the snapshot never reports a speedup
         // for results that disagree.
@@ -149,17 +166,14 @@ fn emit_snapshot(_c: &mut Criterion) {
             "{label:<22} as-written {as_written:>12.0} ns   optimized {optimized:>12.0} ns   \
              speedup {speedup:>8.2}x   rewrites {rewrites}"
         );
-        speedups.push(format!("    \"{label}\": {speedup:.2}"));
+        gate.push(Metric::new(format!("plan:{label}:speedup"), speedup, healthy, hard_min));
     }
-    let json = format!(
-        "{{\n  \"bench\": \"plan_optimizer\",\n  \"nodes\": {node_count},\n  \
-         \"rows\": [\n{}\n  ],\n  \"speedups\": {{\n{}\n  }}\n}}\n",
+    let fields = format!(
+        "  \"bench\": \"plan_optimizer\",\n  \"nodes\": {node_count},\n  \"rows\": [\n{}\n  ]",
         rows.join(",\n"),
-        speedups.join(",\n")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_plan.json");
-    std::fs::write(path, json).expect("write BENCH_plan.json");
-    println!("wrote {path} ({node_count} nodes)");
+    let path = snapshot::write("plan", &fields, &gate);
+    println!("wrote {} ({node_count} nodes)", path.display());
 }
 
 criterion_group!(benches, optimized_vs_as_written, emit_snapshot);

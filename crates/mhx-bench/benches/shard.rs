@@ -6,7 +6,7 @@
 //! loopback), but the serving side differs: the single-node pass gives
 //! one server the whole corpus, the sharded pass splits the corpus 4/4
 //! across two servers behind a router. The snapshot (`BENCH_shard.json`)
-//! tracks two throughput ratios:
+//! gates two throughput ratios:
 //!
 //! * `shard2_vs_single` — aggregate throughput of the 8-client swarm
 //!   through the router over two 2-worker shards vs the same swarm on
@@ -23,6 +23,7 @@
 //!   only requires it to stay modest.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mhx_bench::snapshot::{self, Metric};
 use mhx_corpus::{generate, GeneratedDoc, GeneratorConfig};
 use multihier_xquery::prelude::Catalog;
 use multihier_xquery::server::client::Client;
@@ -217,23 +218,28 @@ fn emit_snapshot(_c: &mut Criterion) {
 
     let swarm_requests = (CLIENTS * REQUESTS) as f64;
     let shard2_vs_single = single_secs / sharded_secs;
+    // Aggregate scaling is the load-bearing row: its hard floor sits above
+    // 1.0 — if routing onto two shards is not faster than one node of the
+    // same size, the router is pure overhead. The routed hop gates only
+    // against becoming pathological.
+    let gate = [
+        Metric::new("shard:shard2_vs_single:ratio", shard2_vs_single, 1.5, 1.1),
+        Metric::new("shard:routed_vs_direct:ratio", routed_vs_direct, 0.5, 0.3),
+    ];
     let rps = |secs: f64, requests: f64| requests / secs;
-    let json = format!(
-        "{{\n  \"bench\": \"shard\",\n  \"shards\": 2,\n  \"node_workers\": {NODE_WORKERS},\n  \
+    let fields = format!(
+        "  \"bench\": \"shard\",\n  \"shards\": 2,\n  \"node_workers\": {NODE_WORKERS},\n  \
          \"clients\": {CLIENTS},\n  \"requests_per_client\": {REQUESTS},\n  \
          \"think_time_ms\": {},\n  \"docs\": {DOCS},\n  \"replicas\": 1,\n  \
          \"throughput_rps\": {{\n    \"single_node\": {:.0},\n    \"sharded\": {:.0},\n    \
-         \"routed_seq\": {:.0},\n    \"direct_seq\": {:.0}\n  }},\n  \
-         \"ratios\": {{\n    \"shard2_vs_single\": {shard2_vs_single:.2},\n    \
-         \"routed_vs_direct\": {routed_vs_direct:.2}\n  }}\n}}\n",
+         \"routed_seq\": {:.0},\n    \"direct_seq\": {:.0}\n  }}",
         THINK.as_millis(),
         rps(single_secs, swarm_requests),
         rps(sharded_secs, swarm_requests),
         rps(routed_seq, SEQ_REQUESTS as f64),
         rps(direct_seq, SEQ_REQUESTS as f64),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json");
-    std::fs::write(path, &json).expect("write BENCH_shard.json");
+    let path = snapshot::write("shard", &fields, &gate);
     println!(
         "scaling: {CLIENTS} clients × {REQUESTS} reqs, single node {single_secs:.3}s vs \
          2 shards {sharded_secs:.3}s → {shard2_vs_single:.2}x"
@@ -243,7 +249,7 @@ fn emit_snapshot(_c: &mut Criterion) {
         rps(routed_seq, SEQ_REQUESTS as f64),
         rps(direct_seq, SEQ_REQUESTS as f64),
     );
-    println!("wrote {path}");
+    println!("wrote {}", path.display());
 }
 
 criterion_group!(benches, shard_benches, emit_snapshot);

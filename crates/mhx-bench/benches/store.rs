@@ -1,7 +1,7 @@
 //! E16 — persistent store: snapshot cold start vs reparse, and query
 //! correctness under a memory budget that forces eviction churn.
 //!
-//! Two claims, two rows in `BENCH_store.json`:
+//! Two claims, two gate rows in `BENCH_store.json`:
 //!
 //! * `cold_vs_reparse` — opening a columnar snapshot (`DocStore::load`,
 //!   which also reconstructs the struct index) must beat rebuilding the
@@ -16,6 +16,7 @@
 //!   of correct answers (1.0 or the gate fails).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mhx_bench::snapshot::{self, Metric};
 use mhx_corpus::{generate, GeneratedDoc, GeneratorConfig};
 use mhx_goddag::{GoddagBuilder, StructIndex};
 use mhx_store::DocStore;
@@ -170,26 +171,29 @@ fn emit_snapshot(_c: &mut Criterion) {
     let over_budget_correct = correct as f64 / checked as f64;
     let _ = std::fs::remove_dir_all(&dir);
 
-    let json = format!(
-        "{{\n  \"bench\": \"store\",\n  \
+    // Cold start must stay clear of reparse (hard floor above 1.0: else
+    // persistence is pure disk cost); churn correctness has no wobble room.
+    let gate = [
+        Metric::new("store:cold_vs_reparse:ratio", cold_vs_reparse, 1.3, 1.05),
+        Metric::new("store:over_budget_correct:ratio", over_budget_correct, 1.0, 1.0),
+    ];
+    let fields = format!(
+        "  \"bench\": \"store\",\n  \
          \"documents\": {N_DOCS},\n  \"snapshot_bytes\": {snapshot_bytes},\n  \
          \"memory_budget\": {budget},\n  \
          \"snapshot_load_ns\": {load_ns:.0},\n  \"reparse_ns\": {reparse_ns:.0},\n  \
          \"churn\": {{\"queries\": {checked}, \"correct\": {correct}, \
-         \"loads\": {}, \"evictions\": {}, \"cold_start_hits\": {}}},\n  \
-         \"ratios\": {{\n    \"cold_vs_reparse\": {cold_vs_reparse:.2},\n    \
-         \"over_budget_correct\": {over_budget_correct:.3}\n  }}\n}}\n",
+         \"loads\": {}, \"evictions\": {}, \"cold_start_hits\": {}}}",
         stats.loads, stats.evictions, stats.cold_start_hits,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");
-    std::fs::write(path, &json).expect("write BENCH_store.json");
+    let path = snapshot::write("store", &fields, &gate);
     println!(
         "cold start: snapshot load {load_ns:.0} ns vs reparse {reparse_ns:.0} ns \
          ({cold_vs_reparse:.2}x); churn: {correct}/{checked} correct, \
          {} loads / {} evictions",
         stats.loads, stats.evictions
     );
-    println!("wrote {path}");
+    println!("wrote {}", path.display());
 }
 
 criterion_group!(benches, snapshot_vs_reparse, emit_snapshot);

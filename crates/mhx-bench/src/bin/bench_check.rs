@@ -5,92 +5,58 @@
 //! `mhx_bench::snapshot` for the exact pass/fail rule). Usage:
 //!
 //! ```text
-//! bench-check --baseline <dir> [--fresh <dir>] [--tolerance 0.25]
-//!             [--min-batch-speedup <x>] [--min-shard-ratio <x>]
-//!             [--min-serve-ratio <x>] [--min-store-ratio <x>]
+//! bench-check --baseline <dir> [--fresh <dir>] [--min PREFIX=X]...
 //! bench-check --list
 //! ```
 //!
 //! `--baseline` points at copies of the committed `BENCH_*.json` saved
 //! *before* the bench run (the benches overwrite the files in place);
-//! `--fresh` (default `.`) at the just-emitted ones. `--min-batch-speedup`,
-//! `--min-shard-ratio`, `--min-serve-ratio`, and `--min-store-ratio`
-//! raise the unconditional floors on the batch, shard, serve, and store
-//! metrics above their built-in values — CI also passes
-//! impossibly high values here to prove the gate can fail.
+//! `--fresh` (default `.`) at the just-emitted ones. `--min PREFIX=X`
+//! (repeatable) raises the hard floor of every fresh metric whose name
+//! starts with `PREFIX` to at least `X` — e.g. `--min batch:=3` — and is
+//! an error when no metric matches. CI passes an impossible `X` for each
+//! stem to prove the gate can fail.
 //!
 //! `--list` prints the tracked snapshot table, one `stem file` pair per
 //! line, and exits. This is the **single source of truth** for CI: the
-//! workflow derives its baseline-save, bench-run, and artifact steps
-//! from this list, so registering a new snapshot here is the only step
-//! needed to put it under the gate.
+//! workflow derives its baseline-save, bench-run, self-test and artifact
+//! steps from this list, so a stem in `snapshot::STEMS` is all it takes
+//! to put a snapshot under the gate.
 
 use mhx_bench::snapshot::{
-    compare, override_batch_floor, override_serve_floor, override_shard_floor,
-    override_store_floor, parse, tracked_metrics, Metric,
+    compare, file_name, override_floor, parse, tracked_metrics, Metric, Verdict, STEMS, TOLERANCE,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-const SNAPSHOTS: [(&str, &str); 7] = [
-    ("axes", "BENCH_axes.json"),
-    ("catalog", "BENCH_catalog.json"),
-    ("batch", "BENCH_batch.json"),
-    ("plan", "BENCH_plan.json"),
-    ("serve", "BENCH_serve.json"),
-    ("shard", "BENCH_shard.json"),
-    ("store", "BENCH_store.json"),
-];
 
 struct Args {
     list: bool,
     baseline: Option<PathBuf>,
     fresh: PathBuf,
-    tolerance: f64,
-    min_batch_speedup: Option<f64>,
-    min_shard_ratio: Option<f64>,
-    min_serve_ratio: Option<f64>,
-    min_store_ratio: Option<f64>,
+    mins: Vec<(String, f64)>,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut list = false;
-    let mut baseline = None;
-    let mut fresh = PathBuf::from(".");
-    let mut tolerance = 0.25;
-    let mut min_batch_speedup = None;
-    let mut min_shard_ratio = None;
-    let mut min_serve_ratio = None;
-    let mut min_store_ratio = None;
+    let mut args =
+        Args { list: false, baseline: None, fresh: PathBuf::from("."), mins: Vec::new() };
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
-        let mut value = |name: &str| argv.next().ok_or_else(|| format!("{name} requires a value"));
-        let number = |name: &str, v: String| {
-            v.parse::<f64>().map_err(|_| format!("{name} must be a number"))
-        };
+        let mut value = || argv.next().ok_or_else(|| format!("{flag} requires a value"));
         match flag.as_str() {
-            "--list" => list = true,
-            "--baseline" => baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--fresh" => fresh = PathBuf::from(value("--fresh")?),
-            "--tolerance" => tolerance = number("--tolerance", value("--tolerance")?)?,
-            "--min-batch-speedup" => {
-                min_batch_speedup =
-                    Some(number("--min-batch-speedup", value("--min-batch-speedup")?)?);
-            }
-            "--min-shard-ratio" => {
-                min_shard_ratio = Some(number("--min-shard-ratio", value("--min-shard-ratio")?)?);
-            }
-            "--min-serve-ratio" => {
-                min_serve_ratio = Some(number("--min-serve-ratio", value("--min-serve-ratio")?)?);
-            }
-            "--min-store-ratio" => {
-                min_store_ratio = Some(number("--min-store-ratio", value("--min-store-ratio")?)?);
+            "--list" => args.list = true,
+            "--baseline" => args.baseline = Some(PathBuf::from(value()?)),
+            "--fresh" => args.fresh = PathBuf::from(value()?),
+            "--min" => {
+                let v = value()?;
+                let (prefix, min) = v
+                    .split_once('=')
+                    .and_then(|(p, x)| Some((p.to_string(), x.parse::<f64>().ok()?)))
+                    .ok_or_else(|| format!("--min expects PREFIX=NUMBER, got `{v}`"))?;
+                args.mins.push((prefix, min));
             }
             "--help" | "-h" => {
                 println!(
-                    "bench-check --baseline <dir> [--fresh <dir>] [--tolerance 0.25] \
-                     [--min-batch-speedup <x>] [--min-shard-ratio <x>] \
-                     [--min-serve-ratio <x>] [--min-store-ratio <x>]\n\
+                    "bench-check --baseline <dir> [--fresh <dir>] [--min PREFIX=X]...\n\
                      bench-check --list    print the tracked `stem file` snapshot table \
                      (CI's single source of truth) and exit"
                 );
@@ -99,91 +65,70 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    Ok(Args {
-        list,
-        baseline,
-        fresh,
-        tolerance,
-        min_batch_speedup,
-        min_shard_ratio,
-        min_serve_ratio,
-        min_store_ratio,
-    })
+    Ok(args)
 }
 
-fn load_metrics(dir: &Path, stem: &str, file: &str) -> Result<Vec<Metric>, String> {
-    let path = dir.join(file);
+fn load_metrics(dir: &Path, stem: &str) -> Result<Vec<Metric>, String> {
+    let path = dir.join(file_name(stem));
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let doc = parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     tracked_metrics(stem, &doc)
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("bench-check: {e}");
-            return ExitCode::from(2);
+/// Every stem's verdicts, in [`STEMS`] order, with the `--min` floors
+/// applied to the fresh metrics.
+fn check_all(args: &Args, baseline: &Path) -> Result<Vec<Vec<Verdict>>, String> {
+    let mut out = Vec::new();
+    let mut matched = vec![0; args.mins.len()];
+    for stem in STEMS {
+        let base = load_metrics(baseline, stem).map_err(|e| format!("baseline {e}"))?;
+        let mut fresh = load_metrics(&args.fresh, stem).map_err(|e| format!("fresh {e}"))?;
+        for ((prefix, min), n) in args.mins.iter().zip(&mut matched) {
+            *n += override_floor(&mut fresh, prefix, *min);
         }
-    };
-    if args.list {
-        for (stem, file) in SNAPSHOTS {
-            println!("{stem} {file}");
-        }
-        return ExitCode::SUCCESS;
+        out.push(compare(&base, &fresh));
     }
-    let Some(baseline) = args.baseline else {
-        eprintln!("bench-check: --baseline <dir> is required (or --list)");
-        return ExitCode::from(2);
-    };
-    let mut failures = 0usize;
-    let mut total = 0usize;
-    for (stem, file) in SNAPSHOTS {
-        let base = match load_metrics(&baseline, stem, file) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("bench-check: baseline {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let mut new = match load_metrics(&args.fresh, stem, file) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("bench-check: fresh {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if let Some(min) = args.min_batch_speedup {
-            override_batch_floor(&mut new, min);
+    match args.mins.iter().zip(&matched).find(|(_, &n)| n == 0) {
+        Some(((prefix, _), _)) => Err(format!("--min prefix `{prefix}` matches no tracked metric")),
+        None => Ok(out),
+    }
+}
+
+/// Runs the gate; `Err` is a usage or input error (exit 2), distinct from
+/// a regression (exit 1).
+fn run() -> Result<ExitCode, String> {
+    let args = parse_args()?;
+    if args.list {
+        for stem in STEMS {
+            println!("{stem} {}", file_name(stem));
         }
-        if let Some(min) = args.min_shard_ratio {
-            override_shard_floor(&mut new, min);
-        }
-        if let Some(min) = args.min_serve_ratio {
-            override_serve_floor(&mut new, min);
-        }
-        if let Some(min) = args.min_store_ratio {
-            override_store_floor(&mut new, min);
-        }
-        println!("== {file}");
-        for verdict in compare(&base, &new, args.tolerance) {
+        return Ok(ExitCode::SUCCESS);
+    }
+    let baseline = args.baseline.as_deref().ok_or("--baseline <dir> is required (or --list)")?;
+    let (mut failures, mut total) = (0usize, 0usize);
+    for (stem, verdicts) in STEMS.iter().zip(check_all(&args, baseline)?) {
+        println!("== {}", file_name(stem));
+        for verdict in verdicts {
             println!("  {verdict}");
             total += 1;
-            if !verdict.passed {
-                failures += 1;
-            }
+            failures += usize::from(!verdict.passed);
         }
     }
     if failures > 0 {
         eprintln!(
-            "bench-check: {failures}/{total} tracked ratios regressed \
-             (tolerance {:.0}%)",
-            args.tolerance * 100.0
+            "bench-check: {failures}/{total} tracked ratios regressed (tolerance {:.0}%)",
+            TOLERANCE * 100.0
         );
-        ExitCode::FAILURE
-    } else {
-        println!("bench-check: all {total} tracked ratios within tolerance");
-        ExitCode::SUCCESS
+        return Ok(ExitCode::FAILURE);
     }
+    println!("bench-check: all {total} tracked ratios within tolerance");
+    Ok(ExitCode::SUCCESS)
+}
+
+fn main() -> ExitCode {
+    run().unwrap_or_else(|e| {
+        eprintln!("bench-check: {e}");
+        ExitCode::from(2)
+    })
 }

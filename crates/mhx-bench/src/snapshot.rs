@@ -1,43 +1,70 @@
-//! Perf-snapshot parsing and regression checking — the library behind the
-//! `bench-check` binary (the CI perf gate).
+//! Perf-snapshot gate rows and regression checking — the library behind
+//! the `bench-check` binary (the CI perf gate).
 //!
-//! The bench targets emit small, hand-formatted JSON snapshots
-//! (`BENCH_axes.json`, `BENCH_catalog.json`, `BENCH_batch.json`) that are
-//! committed as baselines. `bench-check` re-reads the freshly emitted
-//! snapshots and compares the **tracked ratios** (speedups, hit rates —
-//! dimensionless, so they transfer across machines far better than raw
-//! nanoseconds) against the committed ones.
+//! Every gated bench writes `BENCH_{stem}.json` at the workspace root
+//! through [`write()`]: its own free-form members plus one uniform `gate`
+//! block, `[{"name", "value", "healthy", "hard_min"}, …]`. The bench is
+//! where each row's floors live, next to the measurement and the comment
+//! that justifies them; this module only reads the block back
+//! ([`tracked_metrics`]) and applies one rule to it ([`compare`]). Adding
+//! a gated snapshot is one stem in [`STEMS`] plus gate rows in its bench.
 //!
-//! A metric fails when it regresses **relative to the baseline beyond the
-//! tolerance AND drops below its absolute health floor** — requiring both
-//! keeps ordinary timing noise from flaking the gate (a 25% wobble on a
-//! 700× speedup is still a vastly healthy 525×) while a real regression
-//! (index stops helping, batch slower than per-node) trips both conditions
-//! at once. Metrics with a `hard_min` (the batch acceptance floor) fail
-//! unconditionally below it.
+//! The tracked values are **ratios** (speedups, hit rates — dimensionless,
+//! so they transfer across machines far better than raw nanoseconds). A
+//! metric fails when it regresses **relative to the baseline beyond
+//! [`TOLERANCE`] AND drops below its absolute health floor** — requiring
+//! both keeps ordinary timing noise from flaking the gate (a 25% wobble
+//! on a 700× speedup is still a vastly healthy 525×) while a real
+//! regression (index stops helping, batch slower than per-node) trips both
+//! conditions at once. Below its `hard_min` (the acceptance floor) a
+//! metric fails unconditionally.
 //!
 //! The JSON layer lives in the shared std-only [`mhx_json`] crate (the
 //! `mhxd` wire format uses the same parser/writer); `parse` and [`Json`]
 //! are re-exported here so gate code and tests keep one import path.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt;
+use std::path::PathBuf;
 
 pub use mhx_json::{parse, Json};
 
-// ---------- tracked metrics ----------
+/// The gated snapshots, in gate order. Each stem names its bench target
+/// (`cargo bench -p mhx-bench --bench {stem}`) and its snapshot file
+/// ([`file_name`]); `bench-check --list` prints this table for CI.
+pub const STEMS: [&str; 7] = ["axes", "catalog", "batch", "plan", "serve", "shard", "store"];
 
-/// One tracked higher-is-better ratio.
+/// How far below its baseline a fresh value may fall before the relative
+/// check fails (the health floor can still pass it).
+pub const TOLERANCE: f64 = 0.25;
+
+/// The snapshot file of a stem, relative to the workspace root.
+pub fn file_name(stem: &str) -> String {
+    format!("BENCH_{stem}.json")
+}
+
+/// The workspace root, where the committed snapshots live.
+fn workspace_root() -> PathBuf {
+    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+}
+
+/// One tracked higher-is-better ratio — one row of a snapshot's `gate`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
-    /// `file:path` identifier, e.g. `axes:xfollowing:speedup`.
+    /// `stem:path` identifier, e.g. `axes:xfollowing:speedup`.
     pub name: String,
     pub value: f64,
     /// Absolute health floor: a fresh value at or above it never fails the
     /// relative check (guards microsecond-scale ratios against CI noise).
     pub healthy: f64,
-    /// Unconditional minimum (acceptance floor); `None` = relative-only.
-    pub hard_min: Option<f64>,
+    /// Unconditional minimum (acceptance floor).
+    pub hard_min: f64,
+}
+
+impl Metric {
+    pub fn new(name: impl Into<String>, value: f64, healthy: f64, hard_min: f64) -> Self {
+        Metric { name: name.into(), value, healthy, hard_min }
+    }
 }
 
 /// Verdict for one metric comparison.
@@ -64,780 +91,270 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// Extract the tracked metrics from one parsed snapshot. `file` is the
-/// snapshot stem: `axes`, `catalog`, or `batch`.
-pub fn tracked_metrics(file: &str, doc: &Json) -> Result<Vec<Metric>, String> {
-    let mut out = Vec::new();
-    match file {
-        "axes" => {
-            // Per-axis indexed-vs-scan speedups. Healthy = the index
-            // subsystem's original ≥5x acceptance bar.
-            let axes = doc
-                .get("axes")
-                .and_then(Json::as_arr)
-                .ok_or("BENCH_axes.json: missing `axes` array")?;
-            for row in axes {
-                let axis = row
-                    .get("axis")
-                    .and_then(Json::as_str)
-                    .ok_or("BENCH_axes.json: row without `axis`")?;
-                let speedup = row
-                    .get("speedup")
-                    .and_then(Json::as_f64)
-                    .ok_or("BENCH_axes.json: row without `speedup`")?;
-                out.push(Metric {
-                    name: format!("axes:{axis}:speedup"),
-                    value: speedup,
-                    healthy: 5.0,
-                    hard_min: Some(2.0),
-                });
-            }
-        }
-        "catalog" => {
-            // Deterministic cache-effectiveness ratios (counter-derived, so
-            // noise-free); the raw pass timings are deliberately untracked.
-            let shared = doc.get("shared").ok_or("BENCH_catalog.json: missing `shared`")?;
-            let hit_rate = shared
-                .get("hit_rate")
-                .and_then(Json::as_f64)
-                .ok_or("BENCH_catalog.json: missing `shared.hit_rate`")?;
-            out.push(Metric {
-                name: "catalog:hit_rate".into(),
-                value: hit_rate,
-                healthy: 0.9,
-                hard_min: Some(0.5),
-            });
-            let shared_compiles = shared
-                .get("compiles")
-                .and_then(Json::as_f64)
-                .ok_or("BENCH_catalog.json: missing `shared.compiles`")?;
-            let per_doc_compiles = doc
-                .get("per_doc_caches")
-                .and_then(|p| p.get("compiles"))
-                .and_then(Json::as_f64)
-                .ok_or("BENCH_catalog.json: missing `per_doc_caches.compiles`")?;
-            out.push(Metric {
-                name: "catalog:compile_reduction".into(),
-                value: per_doc_compiles / shared_compiles.max(1.0),
-                healthy: 2.0,
-                hard_min: Some(1.5),
-            });
-        }
-        "batch" => {
-            // Full-width batch-vs-per-node speedups. The min/max-reduction
-            // and name-intersection steps must stay well ahead (the PR's
-            // ≥2x acceptance bar); the window-parity steps (overlap,
-            // xancestor, xdescendant — already output-local per node) are
-            // gated against falling behind per-node, not for a big win.
-            let wide = doc
-                .get("wide_speedups")
-                .and_then(Json::as_obj)
-                .ok_or("BENCH_batch.json: missing `wide_speedups` object")?;
-            for (step, v) in wide {
-                let speedup = v.as_f64().ok_or("BENCH_batch.json: non-numeric wide speedup")?;
-                let superior = matches!(
-                    step.as_str(),
-                    "xfollowing::*" | "xpreceding::*" | "descendant::s0" | "descendant::leaf()"
-                );
-                // The health floor sits just above the 2x acceptance bar
-                // so a slower CI runner that still clears the bar (e.g.
-                // the leaf() step's ~5.7x baseline measuring ~3x) never
-                // fails on the relative check alone.
-                let (healthy, hard_min) =
-                    if superior { (2.5, Some(2.0)) } else { (1.0, Some(0.6)) };
-                out.push(Metric {
-                    name: format!("batch:{step}:wide_speedup"),
-                    value: speedup,
-                    healthy,
-                    hard_min,
-                });
-            }
-            if out.is_empty() {
-                return Err("BENCH_batch.json: `wide_speedups` is empty".into());
-            }
-        }
-        "plan" => {
-            // Optimized-vs-as-written speedups on the same compiled query.
-            // The rewrite-profiting shapes (fusion, batch-routed
-            // predicates) must stay well ahead; the reorder row's win
-            // depends on predicate selectivity so it gates above break-
-            // even; the positional rows are untouched by design and gate
-            // parity only.
-            let speedups = doc
-                .get("speedups")
-                .and_then(Json::as_obj)
-                .ok_or("BENCH_plan.json: missing `speedups` object")?;
-            for (query, v) in speedups {
-                let speedup = v.as_f64().ok_or("BENCH_plan.json: non-numeric speedup")?;
-                // Every label is matched explicitly: an unknown row means
-                // benches/plan.rs drifted from the gate, and silently
-                // falling back to the parity floor would let a collapsed
-                // optimizer win pass CI.
-                let (healthy, hard_min) = match query.as_str() {
-                    "fused_scan" | "fused_ext_pred" | "wide_pred_batch" | "overlap_fused" => {
-                        (2.5, Some(2.0))
-                    }
-                    // Round-2 rewrites. The first-witness probe must stay
-                    // an order of magnitude ahead (the PR's ≥20x bar);
-                    // the chain join and hoist keep the ≥2x bar; the
-                    // stats-reorder row pairs two equal-static-weight axis
-                    // predicates so only name-count pricing picks the
-                    // order — routed + probed it runs well ahead, and the
-                    // floor guards that combined win.
-                    "existential_early_exit" => (25.0, Some(20.0)),
-                    "chain_join" => (2.5, Some(2.0)),
-                    "hoisted_pred" => (5.0, Some(2.0)),
-                    "stats_reorder" => (8.0, Some(4.0)),
-                    "reorder_cheap_first" => (1.5, Some(1.0)),
-                    "positional_parity" | "positional_last" => (1.0, Some(0.6)),
-                    other => {
-                        return Err(format!(
-                            "BENCH_plan.json: unknown speedup row `{other}` — register its \
-                             floors in tracked_metrics"
-                        ));
-                    }
-                };
-                out.push(Metric {
-                    name: format!("plan:{query}:speedup"),
-                    value: speedup,
-                    healthy,
-                    hard_min,
-                });
-            }
-            if out.is_empty() {
-                return Err("BENCH_plan.json: `speedups` is empty".into());
-            }
-        }
-        "serve" => {
-            // Network-serving throughput ratios from `benches/serve.rs`.
-            // One-worker parity is the load-bearing row for the evented
-            // front end: with think-time clients, 1 dispatch worker must
-            // hold near the 8-worker throughput, because the event loop
-            // multiplexes connections regardless of worker count —
-            // worker-per-connection scores ~0.13 here, far under the hard
-            // floor. The keep-alive and prepared rows measure per-request
-            // overheads (connection setup, query-text re-transmission +
-            // cache lookup) that are real but small next to evaluation, so
-            // they gate near parity. The idle-fleet rows complete the
-            // evented contract: 1000 parked keep-alive connections must
-            // all be held (a hard count, not a ratio), must not dent
-            // active throughput past the health floor, and must cost at
-            // most a handful of threads (hard floor 100 idle connections
-            // per extra thread — worker-per-connection scores ~1).
-            let ratios = doc
-                .get("ratios")
-                .and_then(Json::as_obj)
-                .ok_or("BENCH_serve.json: missing `ratios` object")?;
-            for (name, v) in ratios {
-                let ratio = v.as_f64().ok_or("BENCH_serve.json: non-numeric ratio")?;
-                // Every label is matched explicitly, like the plan rows: an
-                // unknown row means benches/serve.rs drifted from the gate.
-                let (healthy, hard_min) = match name.as_str() {
-                    "workers1_vs_8" => (0.9, Some(0.7)),
-                    "keepalive_vs_fresh" => (1.1, Some(0.9)),
-                    "prepared_vs_adhoc" => (1.0, Some(0.7)),
-                    "active_with_idle_fleet" => (0.8, Some(0.5)),
-                    "idle_fleet_connections" => (1000.0, Some(1000.0)),
-                    "idle_conns_per_extra_thread" => (500.0, Some(100.0)),
-                    other => {
-                        return Err(format!(
-                            "BENCH_serve.json: unknown ratio row `{other}` — register its \
-                             floors in tracked_metrics"
-                        ));
-                    }
-                };
-                out.push(Metric {
-                    name: format!("serve:{name}:ratio"),
-                    value: ratio,
-                    healthy,
-                    hard_min,
-                });
-            }
-            if out.is_empty() {
-                return Err("BENCH_serve.json: `ratios` is empty".into());
-            }
-        }
-        "shard" => {
-            // Shard-router throughput ratios from `benches/shard.rs`.
-            // Aggregate scaling is the load-bearing row: its hard floor
-            // sits above 1.0 — if routing onto two shards is not faster
-            // than one node of the same size, the router is pure
-            // overhead and the PR's acceptance bar is broken. The
-            // routed-hop row prices the extra TCP leg; it gates only
-            // against the hop becoming pathological.
-            let ratios = doc
-                .get("ratios")
-                .and_then(Json::as_obj)
-                .ok_or("BENCH_shard.json: missing `ratios` object")?;
-            for (name, v) in ratios {
-                let ratio = v.as_f64().ok_or("BENCH_shard.json: non-numeric ratio")?;
-                // Every label is matched explicitly, like the plan and
-                // serve rows: an unknown row means benches/shard.rs
-                // drifted from the gate.
-                let (healthy, hard_min) = match name.as_str() {
-                    "shard2_vs_single" => (1.5, Some(1.1)),
-                    "routed_vs_direct" => (0.5, Some(0.3)),
-                    other => {
-                        return Err(format!(
-                            "BENCH_shard.json: unknown ratio row `{other}` — register its \
-                             floors in tracked_metrics"
-                        ));
-                    }
-                };
-                out.push(Metric {
-                    name: format!("shard:{name}:ratio"),
-                    value: ratio,
-                    healthy,
-                    hard_min,
-                });
-            }
-            if out.is_empty() {
-                return Err("BENCH_shard.json: `ratios` is empty".into());
-            }
-        }
-        "store" => {
-            // Persistent-store ratios from `benches/store.rs`. Cold start
-            // is the load-bearing row: its hard floor sits above 1.0 — if
-            // opening a columnar snapshot is not faster than reparsing the
-            // XML encodings, persistence is pure disk cost and the PR's
-            // acceptance bar is broken. The churn row is counter-derived
-            // correctness (fraction of right answers while the memory
-            // budget forces evict/reload cycles) and must be exactly 1.0.
-            let ratios = doc
-                .get("ratios")
-                .and_then(Json::as_obj)
-                .ok_or("BENCH_store.json: missing `ratios` object")?;
-            for (name, v) in ratios {
-                let ratio = v.as_f64().ok_or("BENCH_store.json: non-numeric ratio")?;
-                // Every label is matched explicitly, like the plan, serve
-                // and shard rows: an unknown row means benches/store.rs
-                // drifted from the gate.
-                let (healthy, hard_min) = match name.as_str() {
-                    "cold_vs_reparse" => (1.3, Some(1.05)),
-                    "over_budget_correct" => (1.0, Some(1.0)),
-                    other => {
-                        return Err(format!(
-                            "BENCH_store.json: unknown ratio row `{other}` — register its \
-                             floors in tracked_metrics"
-                        ));
-                    }
-                };
-                out.push(Metric {
-                    name: format!("store:{name}:ratio"),
-                    value: ratio,
-                    healthy,
-                    hard_min,
-                });
-            }
-            if out.is_empty() {
-                return Err("BENCH_store.json: `ratios` is empty".into());
-            }
-        }
-        other => return Err(format!("unknown snapshot kind `{other}`")),
+/// A snapshot's text: `fields` followed by the `gate` block (see [`write()`]).
+fn render(fields: &str, gate: &[Metric]) -> String {
+    let num = |v: f64| Json::Num(v).to_string();
+    let rows: Vec<String> = gate
+        .iter()
+        .map(|m| {
+            format!(
+                "    {{\"name\": \"{}\", \"value\": {}, \"healthy\": {}, \"hard_min\": {}}}",
+                mhx_json::escape(&m.name),
+                num(m.value),
+                num(m.healthy),
+                num(m.hard_min)
+            )
+        })
+        .collect();
+    format!("{{\n{fields},\n  \"gate\": [\n{}\n  ]\n}}\n", rows.join(",\n"))
+}
+
+/// Write `BENCH_{stem}.json` at the workspace root and return its path:
+/// `fields` are the bench's free-form members, already formatted as
+/// indented JSON object members (no braces, no trailing comma), and `gate`
+/// becomes the `gate` block. Panics — the bench fails — if the file would
+/// not read back through [`tracked_metrics`] as exactly `gate`.
+pub fn write(stem: &str, fields: &str, gate: &[Metric]) -> PathBuf {
+    let json = render(fields, gate);
+    let read_back = parse(&json).and_then(|doc| tracked_metrics(stem, &doc));
+    assert_eq!(read_back.as_deref(), Ok(gate), "{}: gate rows must read back", file_name(stem));
+    let path = workspace_root().join(file_name(stem));
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    path
+}
+
+/// Read the `gate` block of one parsed snapshot. Errors when the block is
+/// missing, empty or malformed, when a row lacks a finite number, when a
+/// name is duplicated or does not start with `{stem}:`.
+pub fn tracked_metrics(stem: &str, doc: &Json) -> Result<Vec<Metric>, String> {
+    let file = file_name(stem);
+    let rows = doc
+        .get("gate")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("{file}: missing `gate` array"))?;
+    if rows.is_empty() {
+        return Err(format!("{file}: `gate` is empty"));
     }
-    Ok(out)
+    let mut seen = BTreeSet::new();
+    rows.iter()
+        .map(|row| {
+            let name = row
+                .get("name")
+                .and_then(Json::as_str)
+                .ok_or_else(|| format!("{file}: gate row without a string `name`"))?;
+            if !name.strip_prefix(stem).is_some_and(|rest| rest.starts_with(':')) {
+                return Err(format!("{file}: gate row `{name}` lacks the `{stem}:` prefix"));
+            }
+            if !seen.insert(name) {
+                return Err(format!("{file}: duplicate gate row `{name}`"));
+            }
+            let number = |key: &str| {
+                row.get(key)
+                    .and_then(Json::as_f64)
+                    .filter(|v| v.is_finite())
+                    .ok_or_else(|| format!("{file}: gate row `{name}` without a finite `{key}`"))
+            };
+            Ok(Metric::new(name, number("value")?, number("healthy")?, number("hard_min")?))
+        })
+        .collect()
 }
 
 /// Compare fresh metrics against baseline metrics. Baseline metrics with
 /// no fresh counterpart fail (shape drift must be deliberate: update the
 /// committed snapshot); fresh metrics with no baseline are reported as
 /// informational passes (they gate once committed).
-pub fn compare(baseline: &[Metric], fresh: &[Metric], tolerance: f64) -> Vec<Verdict> {
-    let fresh_by_name: BTreeMap<&str, &Metric> =
-        fresh.iter().map(|m| (m.name.as_str(), m)).collect();
-    let mut verdicts = Vec::new();
-    for base in baseline {
-        let Some(new) = fresh_by_name.get(base.name.as_str()) else {
-            verdicts.push(Verdict {
+pub fn compare(baseline: &[Metric], fresh: &[Metric]) -> Vec<Verdict> {
+    let mut verdicts: Vec<Verdict> = baseline
+        .iter()
+        .map(|base| match fresh.iter().find(|m| m.name == base.name) {
+            Some(new) => judge(base, new),
+            None => Verdict {
                 name: base.name.clone(),
                 baseline: base.value,
                 fresh: f64::NAN,
                 passed: false,
                 detail: "metric missing from fresh snapshot".into(),
-            });
-            continue;
-        };
-        verdicts.push(judge(base, new, tolerance));
-    }
-    let baseline_names: BTreeMap<&str, ()> =
-        baseline.iter().map(|m| (m.name.as_str(), ())).collect();
-    for new in fresh {
-        if !baseline_names.contains_key(new.name.as_str()) {
-            verdicts.push(Verdict {
-                name: new.name.clone(),
-                baseline: f64::NAN,
-                fresh: new.value,
-                passed: true,
-                detail: "new metric (no baseline yet)".into(),
-            });
-        }
+            },
+        })
+        .collect();
+    for new in fresh.iter().filter(|new| !baseline.iter().any(|m| m.name == new.name)) {
+        verdicts.push(Verdict {
+            name: new.name.clone(),
+            baseline: f64::NAN,
+            fresh: new.value,
+            passed: true,
+            detail: "new metric (no baseline yet)".into(),
+        });
     }
     verdicts
 }
 
-fn judge(base: &Metric, fresh: &Metric, tolerance: f64) -> Verdict {
-    let floor = base.value * (1.0 - tolerance);
-    if let Some(hard) = fresh.hard_min {
-        if fresh.value < hard {
-            return Verdict {
-                name: base.name.clone(),
-                baseline: base.value,
-                fresh: fresh.value,
-                passed: false,
-                detail: format!("below hard minimum {hard:.2}"),
-            };
-        }
-    }
-    let relative_ok = fresh.value >= floor;
-    let healthy_ok = fresh.value >= fresh.healthy;
-    let passed = relative_ok || healthy_ok;
-    let detail = if passed {
-        if relative_ok {
-            format!("within {:.0}% of baseline", tolerance * 100.0)
-        } else {
-            format!(
-                "regressed past {:.0}% tolerance but still above health floor {:.2}",
-                tolerance * 100.0,
-                fresh.healthy
-            )
-        }
-    } else {
-        format!(
-            "regressed more than {:.0}% (limit {floor:.2}) and below health floor {:.2}",
-            tolerance * 100.0,
-            fresh.healthy
+fn judge(base: &Metric, fresh: &Metric) -> Verdict {
+    let floor = base.value * (1.0 - TOLERANCE);
+    let (pct, healthy) = (TOLERANCE * 100.0, fresh.healthy);
+    let (passed, detail) = if fresh.value < fresh.hard_min {
+        (false, format!("below hard minimum {:.2}", fresh.hard_min))
+    } else if fresh.value >= floor {
+        (true, format!("within {pct:.0}% of baseline"))
+    } else if fresh.value >= healthy {
+        (
+            true,
+            format!("regressed past {pct:.0}% tolerance but still above health floor {healthy:.2}"),
         )
+    } else {
+        let limit = format!("regressed more than {pct:.0}% (limit {floor:.2})");
+        (false, format!("{limit} and below health floor {healthy:.2}"))
     };
     Verdict { name: base.name.clone(), baseline: base.value, fresh: fresh.value, passed, detail }
 }
 
 /// Raise the hard minimum on every metric whose name starts with
-/// `prefix` (never lowers a built-in floor). This is how the CLI floor
-/// flags work — and how CI proves the gate can fail, by passing an
-/// impossibly high floor and requiring a nonzero exit.
-pub fn override_floor(metrics: &mut [Metric], prefix: &str, min: f64) {
-    for m in metrics {
-        if m.name.starts_with(prefix) {
-            m.hard_min = Some(m.hard_min.map_or(min, |h| h.max(min)));
-        }
+/// `prefix` to at least `min` (never lowers a built-in floor) and return
+/// how many metrics matched. This is `bench-check --min PREFIX=X` — and
+/// how CI proves the gate can fail, by passing an impossibly high floor
+/// and requiring a nonzero exit.
+pub fn override_floor(metrics: &mut [Metric], prefix: &str, min: f64) -> usize {
+    let mut matched = 0;
+    for m in metrics.iter_mut().filter(|m| m.name.starts_with(prefix)) {
+        m.hard_min = m.hard_min.max(min);
+        matched += 1;
     }
-}
-
-/// Apply a hard-minimum override to every batch metric (the
-/// `--min-batch-speedup` flag).
-pub fn override_batch_floor(metrics: &mut [Metric], min: f64) {
-    override_floor(metrics, "batch:", min);
-}
-
-/// Apply a hard-minimum override to every shard metric (the
-/// `--min-shard-ratio` flag).
-pub fn override_shard_floor(metrics: &mut [Metric], min: f64) {
-    override_floor(metrics, "shard:", min);
-}
-
-/// Apply a hard-minimum override to every serve metric (the
-/// `--min-serve-ratio` flag).
-pub fn override_serve_floor(metrics: &mut [Metric], min: f64) {
-    override_floor(metrics, "serve:", min);
-}
-
-/// Apply a hard-minimum override to every store metric (the
-/// `--min-store-ratio` flag).
-pub fn override_store_floor(metrics: &mut [Metric], min: f64) {
-    override_floor(metrics, "store:", min);
+    matched
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const AXES: &str = r#"{
-  "bench": "axes_indexed_vs_scan",
-  "nodes": 10547,
-  "axes": [
-    {"axis": "xfollowing", "scan_ns": 1987830, "indexed_ns": 102148, "speedup": 19.5},
-    {"axis": "overlapping", "scan_ns": 2084460, "indexed_ns": 3073, "speedup": 678.3}
-  ]
-}"#;
+    /// Gate rows as a bench writes them, read back through the reader.
+    fn read(stem: &str, rows: &[(&str, f64, f64, f64)]) -> Vec<Metric> {
+        tracked_metrics(stem, &parse(&rows_text(rows)).unwrap()).unwrap()
+    }
 
-    const CATALOG: &str = r#"{
-  "shared": {"cold_pass_ns": 2954166, "hit_rate": 0.958, "compiles": 6},
-  "per_doc_caches": {"cold_pass_ns": 3349886, "compiles": 48}
-}"#;
+    fn rows_text(rows: &[(&str, f64, f64, f64)]) -> String {
+        let gate: Vec<Metric> = rows.iter().map(|&(n, v, h, m)| Metric::new(n, v, h, m)).collect();
+        render("  \"bench\": \"test\"", &gate)
+    }
 
-    const BATCH: &str = r#"{
-  "bench": "batch_vs_per_node",
-  "wide_speedups": {
-    "xfollowing::*": 4100.25,
-    "overlapping::*": 0.99,
-    "descendant::s0": 58.50
-  }
-}"#;
-
-    const PLAN: &str = r#"{
-  "bench": "plan_optimizer",
-  "speedups": {
-    "fused_scan": 270.0,
-    "wide_pred_batch": 14.4,
-    "reorder_cheap_first": 3.2,
-    "positional_parity": 1.01,
-    "existential_early_exit": 40.0,
-    "chain_join": 3.0
-  }
-}"#;
-
-    #[test]
-    fn parser_handles_snapshot_shapes() {
-        let doc = parse(AXES).unwrap();
-        assert_eq!(doc.get("nodes").and_then(Json::as_f64), Some(10547.0));
-        let axes = doc.get("axes").and_then(Json::as_arr).unwrap();
-        assert_eq!(axes.len(), 2);
-        assert_eq!(axes[0].get("axis").and_then(Json::as_str), Some("xfollowing"));
-        let esc = parse(r#"{"s": "a\"b\\c\ndé"}"#).unwrap();
-        assert_eq!(esc.get("s").and_then(Json::as_str), Some("a\"b\\c\ndé"));
-        assert!(parse("{").is_err());
-        assert!(parse("{} trailing").is_err());
-        assert!(parse(r#"{"x": nope}"#).is_err());
+    /// Two axes-style rows: healthy 5, hard 2.
+    fn axes(xfollowing: f64, overlapping: f64) -> Vec<Metric> {
+        read(
+            "axes",
+            &[
+                ("axes:xfollowing:speedup", xfollowing, 5.0, 2.0),
+                ("axes:overlapping:speedup", overlapping, 5.0, 2.0),
+            ],
+        )
     }
 
     #[test]
-    fn metrics_extracted_from_all_three_snapshots() {
-        let axes = tracked_metrics("axes", &parse(AXES).unwrap()).unwrap();
-        assert_eq!(axes.len(), 2);
-        assert_eq!(axes[0].name, "axes:xfollowing:speedup");
-        let catalog = tracked_metrics("catalog", &parse(CATALOG).unwrap()).unwrap();
-        assert_eq!(catalog.len(), 2);
-        assert_eq!(catalog[1].value, 8.0); // 48 / 6 compiles
-        let batch = tracked_metrics("batch", &parse(BATCH).unwrap()).unwrap();
-        assert_eq!(batch.len(), 3);
-        let plan = tracked_metrics("plan", &parse(PLAN).unwrap()).unwrap();
-        assert_eq!(plan.len(), 6);
-        assert_eq!(plan[0].name, "plan:fused_scan:speedup");
-        assert_eq!(plan[0].hard_min, Some(2.0));
-        assert_eq!(plan[3].hard_min, Some(0.6), "positional rows gate parity only");
-        assert_eq!(plan[4].name, "plan:existential_early_exit:speedup");
-        assert_eq!(plan[4].hard_min, Some(20.0), "the probe keeps a 20x acceptance floor");
-        assert_eq!(plan[5].hard_min, Some(2.0));
-        assert!(tracked_metrics("nope", &parse(BATCH).unwrap()).is_err());
+    fn every_committed_snapshot_has_a_readable_gate_block() {
+        for stem in STEMS {
+            let path = workspace_root().join(file_name(stem));
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+            let metrics = tracked_metrics(stem, &parse(&text).unwrap()).unwrap();
+            assert!(!metrics.is_empty(), "{stem}");
+            let names: BTreeSet<&str> = metrics.iter().map(|m| m.name.as_str()).collect();
+            assert_eq!(names.len(), metrics.len(), "{stem}: duplicate names");
+            for m in &metrics {
+                assert!(m.name.starts_with(&format!("{stem}:")), "{}", m.name);
+                assert!(m.value.is_finite() && m.healthy.is_finite() && m.hard_min.is_finite());
+            }
+        }
     }
 
     #[test]
-    fn degraded_plan_snapshot_fails() {
-        let base = tracked_metrics("plan", &parse(PLAN).unwrap()).unwrap();
-        // The optimizer "stopped helping": rewrite-profiting shapes fall to
-        // ~1x (below their 2x hard floor) and the parity row regresses to
-        // slower-than-as-written (below the 0.6 parity floor).
-        let degraded = r#"{
-  "speedups": {
-    "fused_scan": 1.1,
-    "wide_pred_batch": 0.9,
-    "reorder_cheap_first": 0.8,
-    "positional_parity": 0.4,
-    "existential_early_exit": 5.0,
-    "chain_join": 1.2
-  }
-}"#;
-        let fresh = tracked_metrics("plan", &parse(degraded).unwrap()).unwrap();
-        let verdicts = compare(&base, &fresh, 0.25);
-        assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
-
-        // A healthy wobble (25%+ down but above the health floors) passes.
-        let wobbly = r#"{
-  "speedups": {
-    "fused_scan": 150.0,
-    "wide_pred_batch": 9.0,
-    "reorder_cheap_first": 2.0,
-    "positional_parity": 0.95,
-    "existential_early_exit": 32.0,
-    "chain_join": 2.6
-  }
-}"#;
-        let fresh = tracked_metrics("plan", &parse(wobbly).unwrap()).unwrap();
-        let verdicts = compare(&base, &fresh, 0.25);
-        assert!(verdicts.iter().all(|v| v.passed), "{verdicts:?}");
-    }
-
-    const SERVE: &str = r#"{
-  "bench": "serve",
-  "ratios": {
-    "workers1_vs_8": 1.0,
-    "keepalive_vs_fresh": 1.6,
-    "prepared_vs_adhoc": 1.1,
-    "active_with_idle_fleet": 0.95,
-    "idle_fleet_connections": 1000,
-    "idle_conns_per_extra_thread": 1000
-  }
-}"#;
-
-    #[test]
-    fn serve_metrics_gate_the_evented_front_end_hard() {
-        let base = tracked_metrics("serve", &parse(SERVE).unwrap()).unwrap();
-        assert_eq!(base.len(), 6);
-        let parity = base.iter().find(|m| m.name == "serve:workers1_vs_8:ratio").unwrap();
-        assert_eq!(parity.hard_min, Some(0.7), "one worker must hold the think-time fleet");
-        let fleet = base.iter().find(|m| m.name == "serve:idle_fleet_connections:ratio").unwrap();
-        assert_eq!(fleet.hard_min, Some(1000.0), "the full fleet must be held concurrently");
-
-        // The front end "regressed to worker-per-connection": one worker
-        // serializes whole connections (parity collapses to ~1/8), the
-        // fleet is capped at the worker count, each parked connection
-        // costs a thread, and the per-request rows rot alongside.
-        let degraded = r#"{
-  "ratios": {
-    "workers1_vs_8": 0.13,
-    "keepalive_vs_fresh": 0.5,
-    "prepared_vs_adhoc": 0.4,
-    "active_with_idle_fleet": 0.3,
-    "idle_fleet_connections": 8,
-    "idle_conns_per_extra_thread": 1
-  }
-}"#;
-        let fresh = tracked_metrics("serve", &parse(degraded).unwrap()).unwrap();
-        let verdicts = compare(&base, &fresh, 0.25);
-        assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
-
-        // A wobble above the floors passes.
-        let wobbly = r#"{
-  "ratios": {
-    "workers1_vs_8": 0.92,
-    "keepalive_vs_fresh": 1.2,
-    "prepared_vs_adhoc": 1.0,
-    "active_with_idle_fleet": 0.85,
-    "idle_fleet_connections": 1000,
-    "idle_conns_per_extra_thread": 500
-  }
-}"#;
-        let fresh = tracked_metrics("serve", &parse(wobbly).unwrap()).unwrap();
-        let verdicts = compare(&base, &fresh, 0.25);
-        assert!(verdicts.iter().all(|v| v.passed), "{verdicts:?}");
-
-        // Unregistered rows fail loudly, like the plan table.
-        let drifted = r#"{"ratios": {"threads_16_vs_1": 9.0}}"#;
-        let err = tracked_metrics("serve", &parse(drifted).unwrap()).unwrap_err();
-        assert!(err.contains("threads_16_vs_1"), "{err}");
-    }
-
-    #[test]
-    fn serve_floor_override_raises_hard_min() {
-        let mut metrics = tracked_metrics("serve", &parse(SERVE).unwrap()).unwrap();
-        override_serve_floor(&mut metrics, 1_000_000.0);
-        let verdicts = compare(&metrics.clone(), &metrics, 0.25);
-        // Every serve metric is now below the impossible floor — the CI
-        // self-test that proves the serve gate can fail.
-        assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
-        // The override never lowers a built-in floor.
-        let mut metrics = tracked_metrics("serve", &parse(SERVE).unwrap()).unwrap();
-        override_serve_floor(&mut metrics, 0.01);
-        let fleet =
-            metrics.iter().find(|m| m.name == "serve:idle_fleet_connections:ratio").unwrap();
-        assert_eq!(fleet.hard_min, Some(1000.0));
-    }
-
-    const SHARD: &str = r#"{
-  "bench": "shard",
-  "ratios": {
-    "shard2_vs_single": 1.9,
-    "routed_vs_direct": 0.8
-  }
-}"#;
-
-    #[test]
-    fn shard_metrics_gate_aggregate_scaling_hard() {
-        let base = tracked_metrics("shard", &parse(SHARD).unwrap()).unwrap();
-        assert_eq!(base.len(), 2);
-        let scaling = base.iter().find(|m| m.name == "shard:shard2_vs_single:ratio").unwrap();
-        assert_eq!(scaling.hard_min, Some(1.1), "two shards must always beat one node");
-
-        // The cluster "stopped scaling": routing two shards is no faster
-        // than one node (hard floor) and the routed hop turned
-        // pathological (relative + health rule).
-        let degraded = r#"{
-  "ratios": {
-    "shard2_vs_single": 0.95,
-    "routed_vs_direct": 0.2
-  }
-}"#;
-        let fresh = tracked_metrics("shard", &parse(degraded).unwrap()).unwrap();
-        let verdicts = compare(&base, &fresh, 0.25);
-        assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
-
-        // A wobble above the floors passes.
-        let wobbly = r#"{
-  "ratios": {
-    "shard2_vs_single": 1.6,
-    "routed_vs_direct": 0.65
-  }
-}"#;
-        let fresh = tracked_metrics("shard", &parse(wobbly).unwrap()).unwrap();
-        let verdicts = compare(&base, &fresh, 0.25);
-        assert!(verdicts.iter().all(|v| v.passed), "{verdicts:?}");
-
-        // Unregistered rows fail loudly, like the plan and serve tables.
-        let drifted = r#"{"ratios": {"shard4_vs_single": 3.5}}"#;
-        let err = tracked_metrics("shard", &parse(drifted).unwrap()).unwrap_err();
-        assert!(err.contains("shard4_vs_single"), "{err}");
-        let empty = tracked_metrics("shard", &parse(r#"{"ratios": {}}"#).unwrap()).unwrap_err();
-        assert!(empty.contains("empty"), "{empty}");
-    }
-
-    #[test]
-    fn shard_floor_override_raises_hard_min() {
-        let mut metrics = tracked_metrics("shard", &parse(SHARD).unwrap()).unwrap();
-        override_shard_floor(&mut metrics, 1_000_000.0);
-        let verdicts = compare(&metrics.clone(), &metrics, 0.25);
-        // Every shard metric is now below the impossible floor — the CI
-        // self-test that proves the shard gate can fail.
-        assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
-        // The override never lowers a built-in floor.
-        let mut metrics = tracked_metrics("shard", &parse(SHARD).unwrap()).unwrap();
-        override_shard_floor(&mut metrics, 0.01);
-        let scaling = metrics.iter().find(|m| m.name.contains("shard2")).unwrap();
-        assert_eq!(scaling.hard_min, Some(1.1));
-    }
-
-    const STORE: &str = r#"{
-  "bench": "store",
-  "ratios": {
-    "cold_vs_reparse": 1.47,
-    "over_budget_correct": 1.0
-  }
-}"#;
-
-    #[test]
-    fn store_metrics_gate_cold_start_and_churn_correctness_hard() {
-        let base = tracked_metrics("store", &parse(STORE).unwrap()).unwrap();
-        assert_eq!(base.len(), 2);
-        let cold = base.iter().find(|m| m.name == "store:cold_vs_reparse:ratio").unwrap();
-        assert_eq!(cold.hard_min, Some(1.05), "snapshot load must always beat reparse");
-        let churn = base.iter().find(|m| m.name == "store:over_budget_correct:ratio").unwrap();
-        assert_eq!(churn.hard_min, Some(1.0), "every churn query must be correct");
-
-        // The store "stopped helping": loading a snapshot is slower than
-        // reparsing (hard floor) and eviction churn corrupted an answer
-        // (hard floor — even one wrong query fails).
-        let degraded = r#"{
-  "ratios": {
-    "cold_vs_reparse": 0.9,
-    "over_budget_correct": 0.986
-  }
-}"#;
-        let fresh = tracked_metrics("store", &parse(degraded).unwrap()).unwrap();
-        let verdicts = compare(&base, &fresh, 0.25);
-        assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
-
-        // A cold-start wobble above the floors passes; correctness has no
-        // wobble room but 1.0 is 1.0.
-        let wobbly = r#"{
-  "ratios": {
-    "cold_vs_reparse": 1.15,
-    "over_budget_correct": 1.0
-  }
-}"#;
-        let fresh = tracked_metrics("store", &parse(wobbly).unwrap()).unwrap();
-        let verdicts = compare(&base, &fresh, 0.25);
-        assert!(verdicts.iter().all(|v| v.passed), "{verdicts:?}");
-
-        // Unregistered rows fail loudly, like the plan/serve/shard tables.
-        let drifted = r#"{"ratios": {"warm_vs_reparse": 5.0}}"#;
-        let err = tracked_metrics("store", &parse(drifted).unwrap()).unwrap_err();
-        assert!(err.contains("warm_vs_reparse"), "{err}");
-        let empty = tracked_metrics("store", &parse(r#"{"ratios": {}}"#).unwrap()).unwrap_err();
-        assert!(empty.contains("empty"), "{empty}");
-    }
-
-    #[test]
-    fn store_floor_override_raises_hard_min() {
-        let mut metrics = tracked_metrics("store", &parse(STORE).unwrap()).unwrap();
-        override_store_floor(&mut metrics, 1_000_000.0);
-        let verdicts = compare(&metrics.clone(), &metrics, 0.25);
-        // Every store metric is now below the impossible floor — the CI
-        // self-test that proves the store gate can fail.
-        assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
-        // The override never lowers a built-in floor.
-        let mut metrics = tracked_metrics("store", &parse(STORE).unwrap()).unwrap();
-        override_store_floor(&mut metrics, 0.01);
-        let churn = metrics.iter().find(|m| m.name.contains("over_budget")).unwrap();
-        assert_eq!(churn.hard_min, Some(1.0));
-    }
-
-    #[test]
-    fn unregistered_plan_row_is_an_error() {
-        // A renamed/typo'd bench label must not silently inherit the
-        // parity floor — the gate fails loudly until it is registered.
-        let drifted = r#"{"speedups": {"fusion_scan": 250.0}}"#;
-        let err = tracked_metrics("plan", &parse(drifted).unwrap()).unwrap_err();
-        assert!(err.contains("fusion_scan"), "{err}");
+    fn reader_rejects_malformed_gate_blocks() {
+        let err =
+            |stem: &str, text: &str| tracked_metrics(stem, &parse(text).unwrap()).unwrap_err();
+        assert!(err("axes", r#"{"axes": []}"#).contains("missing `gate`"));
+        assert!(err("axes", r#"{"gate": {}}"#).contains("missing `gate`"));
+        assert!(err("axes", r#"{"gate": []}"#).contains("empty"));
+        let unprefixed = rows_text(&[("xfollowing:speedup", 16.0, 5.0, 2.0)]);
+        assert!(err("axes", &unprefixed).contains("prefix"));
+        // `axesx:` is not `axes:`.
+        let lookalike = rows_text(&[("axesx:speedup", 16.0, 5.0, 2.0)]);
+        assert!(err("axes", &lookalike).contains("prefix"));
+        let twice = rows_text(&[("axes:a", 16.0, 5.0, 2.0), ("axes:a", 17.0, 5.0, 2.0)]);
+        assert!(err("axes", &twice).contains("duplicate"));
+        let no_floor = r#"{"gate": [{"name": "axes:a", "value": 16.0, "healthy": 5}]}"#;
+        assert!(err("axes", no_floor).contains("hard_min"));
+        let text_value =
+            r#"{"gate": [{"name": "axes:a", "value": "16", "healthy": 5, "hard_min": 2}]}"#;
+        assert!(err("axes", text_value).contains("value"));
+        let nameless = r#"{"gate": [{"value": 16, "healthy": 5, "hard_min": 2}]}"#;
+        assert!(err("axes", nameless).contains("name"));
     }
 
     #[test]
     fn identical_snapshots_pass() {
-        let base = tracked_metrics("axes", &parse(AXES).unwrap()).unwrap();
-        let verdicts = compare(&base, &base, 0.25);
+        let base = axes(19.5, 678.3);
+        let verdicts = compare(&base, &base);
         assert!(verdicts.iter().all(|v| v.passed), "{verdicts:?}");
     }
 
     #[test]
     fn degraded_snapshot_fails() {
-        let base = tracked_metrics("axes", &parse(AXES).unwrap()).unwrap();
         // The index "stopped helping": speedups collapse to ~1x.
-        let degraded = r#"{
-  "axes": [
-    {"axis": "xfollowing", "speedup": 1.1},
-    {"axis": "overlapping", "speedup": 0.9}
-  ]
-}"#;
-        let fresh = tracked_metrics("axes", &parse(degraded).unwrap()).unwrap();
-        let verdicts = compare(&base, &fresh, 0.25);
+        let verdicts = compare(&axes(19.5, 678.3), &axes(1.1, 0.9));
         assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
     }
 
     #[test]
     fn noise_within_tolerance_or_above_health_floor_passes() {
-        let base = tracked_metrics("axes", &parse(AXES).unwrap()).unwrap();
         // 19.5 → 16.0 is within 25%; 678.3 → 400.0 is far past 25% but way
         // above the 5x health floor — neither should flake the gate.
-        let wobbly = r#"{
-  "axes": [
-    {"axis": "xfollowing", "speedup": 16.0},
-    {"axis": "overlapping", "speedup": 400.0}
-  ]
-}"#;
-        let fresh = tracked_metrics("axes", &parse(wobbly).unwrap()).unwrap();
-        let verdicts = compare(&base, &fresh, 0.25);
+        let verdicts = compare(&axes(19.5, 678.3), &axes(16.0, 400.0));
         assert!(verdicts.iter().all(|v| v.passed), "{verdicts:?}");
+        assert!(verdicts[1].detail.contains("above health floor"), "{verdicts:?}");
     }
 
     #[test]
-    fn batch_hard_floor_fails_unconditionally() {
-        let base = tracked_metrics("batch", &parse(BATCH).unwrap()).unwrap();
+    fn relative_regression_below_health_floor_fails() {
+        // 40 → 4.5 is past 25% and under the 5x health floor, yet above the
+        // 2x hard floor: the relative rule alone fails it.
+        let verdicts = compare(&axes(40.0, 678.3), &axes(4.5, 678.3));
+        assert!(!verdicts[0].passed && verdicts[1].passed, "{verdicts:?}");
+        assert!(verdicts[0].detail.contains("below health floor"), "{verdicts:?}");
+    }
+
+    fn batch(xfollowing: f64) -> Vec<Metric> {
+        read(
+            "batch",
+            &[
+                ("batch:xfollowing::*:wide_speedup", xfollowing, 2.5, 2.0),
+                ("batch:overlapping::*:wide_speedup", 0.99, 1.0, 0.6),
+                ("batch:descendant::s0:wide_speedup", 58.5, 2.5, 2.0),
+            ],
+        )
+    }
+
+    #[test]
+    fn hard_floor_fails_unconditionally() {
         // Batch slower than per-node on a structurally superior step: even
         // a matching baseline would not save it (hard_min 2.0).
-        let broken = r#"{
-  "wide_speedups": {
-    "xfollowing::*": 1.2,
-    "overlapping::*": 0.99,
-    "descendant::s0": 58.50
-  }
-}"#;
-        let fresh = tracked_metrics("batch", &parse(broken).unwrap()).unwrap();
-        let verdicts = compare(&base, &fresh, 0.25);
+        let verdicts = compare(&batch(4100.25), &batch(1.2));
         let failed: Vec<_> = verdicts.iter().filter(|v| !v.passed).collect();
         assert_eq!(failed.len(), 1);
         assert_eq!(failed[0].name, "batch:xfollowing::*:wide_speedup");
+        let verdicts = compare(&batch(1.2), &batch(1.2));
+        assert!(!verdicts[0].passed, "{verdicts:?}");
+        assert!(verdicts[0].detail.contains("hard minimum 2.00"), "{verdicts:?}");
     }
 
     #[test]
     fn missing_metric_fails_new_metric_passes() {
-        let base = tracked_metrics("batch", &parse(BATCH).unwrap()).unwrap();
-        let reshaped = r#"{
-  "wide_speedups": {
-    "xfollowing::*": 4100.0,
-    "descendant::s0": 60.0,
-    "brand-new::*": 3.0
-  }
-}"#;
-        let fresh = tracked_metrics("batch", &parse(reshaped).unwrap()).unwrap();
-        let verdicts = compare(&base, &fresh, 0.25);
+        let base = batch(4100.25);
+        let fresh = read(
+            "batch",
+            &[
+                ("batch:xfollowing::*:wide_speedup", 4100.0, 2.5, 2.0),
+                ("batch:descendant::s0:wide_speedup", 60.0, 2.5, 2.0),
+                ("batch:brand-new::*:wide_speedup", 3.0, 2.5, 2.0),
+            ],
+        );
+        let verdicts = compare(&base, &fresh);
         let missing = verdicts.iter().find(|v| v.name.contains("overlapping")).unwrap();
         assert!(!missing.passed);
         let new = verdicts.iter().find(|v| v.name.contains("brand-new")).unwrap();
@@ -845,12 +362,23 @@ mod tests {
     }
 
     #[test]
-    fn batch_floor_override_raises_hard_min() {
-        let mut metrics = tracked_metrics("batch", &parse(BATCH).unwrap()).unwrap();
-        override_batch_floor(&mut metrics, 1_000_000.0);
-        let verdicts = compare(&metrics.clone(), &metrics, 0.25);
-        // Every batch metric is now below the impossible floor — this is
-        // exactly the CI self-test that proves the gate can fail.
+    fn min_override_raises_floors_and_never_lowers_one() {
+        let rows = [
+            ("serve:workers1_vs_8:ratio", 1.0, 0.9, 0.7),
+            ("serve:idle_fleet_connections:ratio", 1000.0, 1000.0, 1000.0),
+        ];
+        let mut metrics = read("serve", &rows);
+        assert_eq!(override_floor(&mut metrics, "serve:", 1_000_000.0), 2);
+        // Every serve metric is now below the impossible floor — the CI
+        // self-test that proves the serve gate can fail.
+        let verdicts = compare(&metrics.clone(), &metrics);
         assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
+
+        let mut metrics = read("serve", &rows);
+        assert_eq!(override_floor(&mut metrics, "serve:", 0.01), 2);
+        assert_eq!(metrics[1].hard_min, 1000.0, "a low override keeps the built-in floor");
+        assert_eq!(override_floor(&mut metrics, "serve:workers1", 0.8), 1);
+        assert_eq!((metrics[0].hard_min, metrics[1].hard_min), (0.8, 1000.0));
+        assert_eq!(override_floor(&mut metrics, "shard:", 5.0), 0, "prefix matches nothing");
     }
 }

@@ -3,7 +3,7 @@
 //! hierarchies, plus the §4 queries and their expected outputs.
 //!
 //! The thorn glyph prints variously as `ϸ`/`D` in the paper's OCR; we use
-//! U+00FE `þ` throughout (DESIGN.md §6.5).
+//! U+00FE `þ`, the letter the manuscript has, throughout.
 
 use mhx_goddag::{Cmh, Goddag, GoddagBuilder};
 use mhx_xml::Document;
@@ -77,7 +77,9 @@ pub const QUERY_I1: &str = "for $l in /descendant::line\
 pub const EXPECTED_I1: &str = "gesceaftum unawendendne singallice sibbe gecynde þa";
 
 /// Paper query I.2 in the word-level variant that reproduces the printed
-/// output (DESIGN.md §6.1).
+/// output: the printed output bolds every leaf of a word that touches
+/// damage, which the literally-printed per-leaf predicate
+/// ([`QUERY_I2_STRICT`]) does not.
 pub const QUERY_I2: &str = "for $l in /descendant::line[xdescendant::w[xancestor::dmg or \
  xdescendant::dmg or overlapping::dmg]] \
  return ( for $leaf in $l/descendant::leaf() return \
@@ -95,8 +97,9 @@ pub const QUERY_I2_STRICT: &str = "for $l in /descendant::line[xdescendant::w[xa
 pub const EXPECTED_I2_STRICT: &str =
     "gesceaftum una<b>w</b>endendne sin<br/>gallice sibbe gecyn<b>de</b> <b>þa</b><br/>";
 
-/// Paper query II.1 with the documented `child::node()`/`self::m`
-/// correction (DESIGN.md §6.2).
+/// Paper query II.1 with the printed `child::*`/`parent::m` read as
+/// `child::node()`/`self::m`: `child::*` would drop the unmatched text that
+/// the printed output shows, and a child is bolded when it *is* the match.
 pub const QUERY_II1: &str = "for $w in /descendant::w[matches(string(.), '.*unawe.*')] \
  return ( \
  let $res := analyze-string($w, '.*unawe.*') \
@@ -105,7 +108,10 @@ pub const QUERY_II1: &str = "for $w in /descendant::w[matches(string(.), '.*unaw
 
 pub const EXPECTED_II1: &str = "<b>unawe</b>ndendne<br/>";
 
-/// Paper query III.1, strict Definition-1 semantics (DESIGN.md §6.4).
+/// Paper query III.1, strict Definition-1 semantics. The paper's printed
+/// string does not follow from its own markup (its closest consistent
+/// reading italicizes the whole match), while strict leaves keep `una|w|e`
+/// apart and put only `una` in a restoration.
 pub const QUERY_III1: &str = "for $w in /descendant::w[matches(string(.), '.*unawe.*')] \
  return ( \
  let $res := analyze-string($w, '.*unawe.*') \

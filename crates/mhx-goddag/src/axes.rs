@@ -17,8 +17,8 @@
 //! | `overlapping`            | union of the two                         |                      |
 //!
 //! Nodes with an empty leaf set (empty elements) take part in no extended
-//! axis, on either side — the definitions' min/max are undefined there; we
-//! document this instantiation in DESIGN.md §6.
+//! axis, on either side — the definitions' min/max are undefined there, so
+//! this is our instantiation, not the paper's.
 //!
 //! The [`setsem`] submodule implements Definition 1 literally with leaf
 //! *sets*; property tests assert both agree, and the E9 ablation bench

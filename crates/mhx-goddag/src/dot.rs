@@ -102,8 +102,8 @@ fn esc(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Indented text outline per hierarchy plus the leaf table — the form used
-/// by the `repro fig2` harness and EXPERIMENTS.md.
+/// Indented text outline per hierarchy plus the leaf table — the form the
+/// `repro fig2` harness prints.
 pub fn to_text(g: &Goddag) -> String {
     let labels = Labels::new(g);
     let mut out = String::new();

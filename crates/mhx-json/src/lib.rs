@@ -11,7 +11,8 @@
 //! `\n` `\r` `\t` `\uXXXX`), numbers, booleans, null. The writer is the
 //! inverse: [`Json::write_into`] emits compact JSON with all mandatory
 //! escaping (control characters included), and round-trips through
-//! [`parse`].
+//! [`parse`]. Input nested deeper than [`MAX_DEPTH`] is an error, never a
+//! stack overflow: the parser reads request bodies off the network.
 //!
 //! ```
 //! use mhx_json::{parse, Json};
@@ -27,6 +28,13 @@
 //! ```
 
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`parse`] accepts; one more
+/// level is an `Err`. The parser recurses once per level, so this bounds
+/// its stack use whatever the input; the documents the workspace
+/// exchanges (wire bodies, `/stats`, bench snapshots) nest only a few
+/// levels deep.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Objects preserve insertion order (irrelevant for
 /// equality-by-key lookups, handy for error messages and stable output).
@@ -186,7 +194,7 @@ pub fn escape(s: &str) -> String {
 pub fn parse(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -200,8 +208,12 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value; `depth` is the number of arrays/objects around it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -214,7 +226,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let Json::Str(key) = parse_value(bytes, pos)? else {
+                let Json::Str(key) = parse_value(bytes, pos, depth + 1)? else {
                     return Err(format!("object key must be a string at byte {pos}"));
                 };
                 skip_ws(bytes, pos);
@@ -222,7 +234,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                entries.push((key, parse_value(bytes, pos)?));
+                entries.push((key, parse_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -243,7 +255,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -420,6 +432,39 @@ mod tests {
         assert_eq!(Json::Num(3.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Str("3".into()).as_u64(), None);
+    }
+
+    /// Runs `f` on a 2 MiB thread — the smallest stack a server thread
+    /// gets — so unbounded recursion would abort the test process.
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new().stack_size(2 << 20).spawn(f).unwrap().join().unwrap()
+    }
+
+    #[test]
+    fn nesting_beyond_max_depth_is_an_error_not_a_stack_overflow() {
+        let deep = 200_000;
+        let results = on_small_stack(move || {
+            let mixed: String =
+                (0..deep).map(|i| if i % 2 == 0 { "[" } else { "{\"a\":" }).collect();
+            [
+                parse(&"[".repeat(deep)),
+                parse(&"{\"a\":".repeat(deep)),
+                parse(&mixed),
+                parse(&format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1))),
+            ]
+        });
+        for result in results {
+            let err = result.unwrap_err();
+            assert!(err.contains(&format!("nesting deeper than {MAX_DEPTH}")), "{err}");
+        }
+        let at_limit = on_small_stack(|| {
+            let arrays = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+            let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+            [parse(&arrays), parse(&objects)]
+        });
+        for result in at_limit {
+            assert!(result.is_ok(), "{result:?}");
+        }
     }
 
     #[test]

@@ -213,8 +213,8 @@ impl CompiledXQuery {
 #[cfg(test)]
 mod paper_tests {
     //! End-to-end reproduction of every query in the paper's §4, asserted
-    //! against the printed outputs (with the documented fidelity fixes —
-    //! see DESIGN.md §6).
+    //! against the printed outputs (with the fidelity fixes stated on each
+    //! query in `mhx_corpus::figure1`).
 
     use super::*;
     use mhx_goddag::GoddagBuilder;
@@ -307,7 +307,7 @@ mod paper_tests {
     fn query_ii1_exact_paper_output() {
         // Find all words containing "unawe", display them, highlight the
         // match. (Paper's `child::*`/`parent::m` is corrected to
-        // `child::node()`/`self::m`; see DESIGN.md §6.)
+        // `child::node()`/`self::m`: `child::*` drops the unmatched text.)
         let out = run_query(
             &figure1(),
             "for $w in /descendant::w[matches(string(.), '.*unawe.*')]\n\

@@ -1,5 +1,6 @@
 //! Reproduction harness: regenerates every figure/query artifact of the
-//! paper and prints paper-vs-measured rows (the source of EXPERIMENTS.md).
+//! paper and prints paper-vs-measured rows; it exits nonzero on any
+//! mismatch.
 //!
 //! ```sh
 //! cargo run --bin repro            # everything
@@ -105,10 +106,11 @@ fn queries_repro(failures: &mut usize) {
         }
     }
     println!(
-        "\nnote: I.2 uses the word-level predicate and II.1 the child::node()/self::m\n\
-         correction (paper print bugs — DESIGN.md §6); III.1 asserts strict\n\
-         Definition-1 output, with the paper's inconsistent printed string recorded\n\
-         in EXPERIMENTS.md.\n"
+        "\nnote: I.2 uses the word-level predicate (the printed per-leaf predicate,\n\
+         I.2-strict, does not give the printed output) and II.1 reads the printed\n\
+         child::*/parent::m as child::node()/self::m (child::* drops the unmatched\n\
+         text the printed output shows); III.1 asserts strict Definition-1 output,\n\
+         since the paper's printed string does not follow from its own markup.\n"
     );
 }
 
@@ -148,5 +150,5 @@ fn baseline(failures: &mut usize) {
             if agree { "yes" } else { "NO" },
         );
     }
-    println!("(timings: cargo bench -p mhx-bench — see EXPERIMENTS.md)");
+    println!("(timings: cargo bench -p mhx-bench)");
 }

@@ -317,6 +317,31 @@ fn a_deeply_nested_query_is_a_parse_error_and_the_daemon_answers_the_next_reques
     assert!(server.shutdown());
 }
 
+#[test]
+fn a_deeply_nested_json_body_is_bad_json_and_the_daemon_answers_the_next_request() {
+    let server = boot(quick_config(2));
+    let mut conn = RawConn::connect(&server);
+    // 200 KB of `[`: far under `max_body`, far over `mhx_json::MAX_DEPTH`.
+    let body = "[".repeat(200_000);
+    conn.send(
+        format!(
+            "POST /query HTTP/1.1\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .as_bytes(),
+    );
+    let (status, reply) = conn.read_response();
+    assert_eq!(status, 400, "{reply}");
+    let reply = mhx_json::parse(&reply).expect("JSON error body");
+    let kind = reply.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str);
+    assert_eq!(kind, Some("bad_json"), "{reply}");
+    // The daemon survived: a new connection gets a normal answer.
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    assert_eq!(client.xquery("ms", "count(//w)").unwrap().serialized, "3");
+    assert!(server.shutdown());
+}
+
 /// Held by the tests that time CPU-bound queries against each other, so
 /// that on a small machine they do not measure one another's load.
 static CPU_TIMED: Mutex<()> = Mutex::new(());
