@@ -8,7 +8,7 @@
 //! the index subsystem: ≥5× on the selective axes).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mhx_bench::snapshot::{self, Metric};
+use mhx_bench::snapshot::{self, rounded, Metric};
 use mhx_corpus::{generate, GeneratorConfig};
 use mhx_goddag::axes::{axis_nodes, setsem, Axis};
 use mhx_goddag::{Goddag, NodeId, StructIndex};
@@ -205,7 +205,8 @@ fn emit_snapshot(_c: &mut Criterion) {
         ));
         // Healthy = the index subsystem's original ≥5x acceptance bar; the
         // hard floor keeps every indexed axis at least twice the scan.
-        gate.push(Metric::new(format!("axes:{}:speedup", axis.name()), scan / indexed, 5.0, 2.0));
+        let speedup = rounded(scan / indexed, 1);
+        gate.push(Metric::new(format!("axes:{}:speedup", axis.name()), speedup, 5.0, 2.0));
         println!(
             "{:<24} scan {:>12.0} ns   indexed {:>12.0} ns   speedup {:>8.1}x",
             axis.name(),

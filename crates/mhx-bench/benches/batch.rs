@@ -13,7 +13,7 @@
 //! `bench-check` CI gate tracks.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mhx_bench::snapshot::{self, Metric};
+use mhx_bench::snapshot::{self, rounded, Metric};
 use mhx_corpus::{generate, GeneratorConfig};
 use mhx_goddag::{Axis, Goddag, NodeId, StructIndex};
 use mhx_xpath::plan::{choose_strategy, resolve_step, resolve_step_batch};
@@ -179,7 +179,7 @@ fn emit_snapshot(_c: &mut Criterion) {
                 );
                 let (healthy, hard_min) = if superior { (2.5, 2.0) } else { (1.0, 0.6) };
                 let name = format!("batch:{label}:wide_speedup");
-                gate.push(Metric::new(name, speedup, healthy, hard_min));
+                gate.push(Metric::new(name, rounded(speedup, 2), healthy, hard_min));
             }
         }
     }

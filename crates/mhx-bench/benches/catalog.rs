@@ -13,7 +13,7 @@
 //! once *per document* under private caches.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mhx_bench::snapshot::{self, Metric};
+use mhx_bench::snapshot::{self, rounded, Metric};
 use mhx_corpus::{generate, GeneratorConfig};
 use mhx_goddag::Goddag;
 use multihier_xquery::prelude::{Catalog, Engine};
@@ -170,7 +170,7 @@ fn emit_snapshot(_c: &mut Criterion) {
     let hit_rate = shared_stats.hits as f64 / (shared_stats.hits + shared_stats.misses) as f64;
     let compile_reduction = per_doc_misses as f64 / shared_stats.misses.max(1) as f64;
     let gate = [
-        Metric::new("catalog:hit_rate", hit_rate, 0.9, 0.5),
+        Metric::new("catalog:hit_rate", rounded(hit_rate, 3), 0.9, 0.5),
         Metric::new("catalog:compile_reduction", compile_reduction, 2.0, 1.5),
     ];
     let fields = format!(

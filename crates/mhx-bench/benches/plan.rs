@@ -17,7 +17,7 @@
 //! tracks.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mhx_bench::snapshot::{self, Metric};
+use mhx_bench::snapshot::{self, rounded, Metric};
 use mhx_corpus::{generate, GeneratorConfig};
 use mhx_goddag::{Goddag, StructIndex};
 use mhx_xquery::{CompiledXQuery, EvalOptions, Item};
@@ -166,7 +166,8 @@ fn emit_snapshot(_c: &mut Criterion) {
             "{label:<22} as-written {as_written:>12.0} ns   optimized {optimized:>12.0} ns   \
              speedup {speedup:>8.2}x   rewrites {rewrites}"
         );
-        gate.push(Metric::new(format!("plan:{label}:speedup"), speedup, healthy, hard_min));
+        let name = format!("plan:{label}:speedup");
+        gate.push(Metric::new(name, rounded(speedup, 2), healthy, hard_min));
     }
     let fields = format!(
         "  \"bench\": \"plan_optimizer\",\n  \"nodes\": {node_count},\n  \"rows\": [\n{}\n  ]",

@@ -32,7 +32,7 @@
 //!   per parked client).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mhx_bench::snapshot::{self, Metric};
+use mhx_bench::snapshot::{self, rounded, Metric};
 use mhx_corpus::{generate, GeneratorConfig};
 use mhx_goddag::Goddag;
 use multihier_xquery::prelude::{Catalog, QueryLang};
@@ -314,14 +314,19 @@ fn emit_snapshot(_c: &mut Criterion) {
     // floor: 100 idle connections per extra thread; worker-per-connection
     // scores ~1).
     let gate = [
-        Metric::new("serve:workers1_vs_8:ratio", workers1_vs_8, 0.9, 0.7),
-        Metric::new("serve:keepalive_vs_fresh:ratio", keepalive_vs_fresh, 1.1, 0.9),
-        Metric::new("serve:prepared_vs_adhoc:ratio", prepared_vs_adhoc, 1.0, 0.7),
-        Metric::new("serve:active_with_idle_fleet:ratio", active_with_idle_fleet, 0.8, 0.5),
+        Metric::new("serve:workers1_vs_8:ratio", rounded(workers1_vs_8, 2), 0.9, 0.7),
+        Metric::new("serve:keepalive_vs_fresh:ratio", rounded(keepalive_vs_fresh, 2), 1.1, 0.9),
+        Metric::new("serve:prepared_vs_adhoc:ratio", rounded(prepared_vs_adhoc, 2), 1.0, 0.7),
+        Metric::new(
+            "serve:active_with_idle_fleet:ratio",
+            rounded(active_with_idle_fleet, 2),
+            0.8,
+            0.5,
+        ),
         Metric::new("serve:idle_fleet_connections:ratio", fleet_held as f64, 1000.0, 1000.0),
         Metric::new(
             "serve:idle_conns_per_extra_thread:ratio",
-            idle_conns_per_extra_thread,
+            rounded(idle_conns_per_extra_thread, 0),
             500.0,
             100.0,
         ),

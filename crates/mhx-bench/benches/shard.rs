@@ -23,7 +23,7 @@
 //!   only requires it to stay modest.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mhx_bench::snapshot::{self, Metric};
+use mhx_bench::snapshot::{self, rounded, Metric};
 use mhx_corpus::{generate, GeneratedDoc, GeneratorConfig};
 use multihier_xquery::prelude::Catalog;
 use multihier_xquery::server::client::Client;
@@ -223,8 +223,8 @@ fn emit_snapshot(_c: &mut Criterion) {
     // same size, the router is pure overhead. The routed hop gates only
     // against becoming pathological.
     let gate = [
-        Metric::new("shard:shard2_vs_single:ratio", shard2_vs_single, 1.5, 1.1),
-        Metric::new("shard:routed_vs_direct:ratio", routed_vs_direct, 0.5, 0.3),
+        Metric::new("shard:shard2_vs_single:ratio", rounded(shard2_vs_single, 2), 1.5, 1.1),
+        Metric::new("shard:routed_vs_direct:ratio", rounded(routed_vs_direct, 2), 0.5, 0.3),
     ];
     let rps = |secs: f64, requests: f64| requests / secs;
     let fields = format!(

@@ -16,7 +16,7 @@
 //!   of correct answers (1.0 or the gate fails).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mhx_bench::snapshot::{self, Metric};
+use mhx_bench::snapshot::{self, rounded, Metric};
 use mhx_corpus::{generate, GeneratedDoc, GeneratorConfig};
 use mhx_goddag::{GoddagBuilder, StructIndex};
 use mhx_store::DocStore;
@@ -174,8 +174,8 @@ fn emit_snapshot(_c: &mut Criterion) {
     // Cold start must stay clear of reparse (hard floor above 1.0: else
     // persistence is pure disk cost); churn correctness has no wobble room.
     let gate = [
-        Metric::new("store:cold_vs_reparse:ratio", cold_vs_reparse, 1.3, 1.05),
-        Metric::new("store:over_budget_correct:ratio", over_budget_correct, 1.0, 1.0),
+        Metric::new("store:cold_vs_reparse:ratio", rounded(cold_vs_reparse, 2), 1.3, 1.05),
+        Metric::new("store:over_budget_correct:ratio", rounded(over_budget_correct, 3), 1.0, 1.0),
     ];
     let fields = format!(
         "  \"bench\": \"store\",\n  \

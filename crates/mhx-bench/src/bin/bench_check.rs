@@ -1,33 +1,23 @@
-//! `bench-check` — the CI perf-regression gate.
+//! `bench-check` — the CI perf-regression gate: compares freshly emitted
+//! bench snapshots against the committed baselines and exits nonzero when
+//! a tracked ratio regresses (rule: `mhx_bench::snapshot`); synopsis in
+//! `bench-check --help`.
 //!
-//! Compares freshly emitted bench snapshots against the committed
-//! baselines and exits nonzero when a tracked ratio regresses (see
-//! `mhx_bench::snapshot` for the exact pass/fail rule). Usage:
-//!
-//! ```text
-//! bench-check --baseline <dir> [--fresh <dir>] [--min PREFIX=X]...
-//! bench-check --list
-//! ```
-//!
-//! `--baseline` points at copies of the committed `BENCH_*.json` saved
-//! *before* the bench run (the benches overwrite the files in place);
-//! `--fresh` (default `.`) at the just-emitted ones. `--min PREFIX=X`
-//! (repeatable) raises the hard floor of every fresh metric whose name
-//! starts with `PREFIX` to at least `X` — e.g. `--min batch:=3` — and is
-//! an error when no metric matches. CI passes an impossible `X` for each
-//! stem to prove the gate can fail.
-//!
-//! `--list` prints the tracked snapshot table, one `stem file` pair per
-//! line, and exits. This is the **single source of truth** for CI: the
-//! workflow derives its baseline-save, bench-run, self-test and artifact
-//! steps from this list, so a stem in `snapshot::STEMS` is all it takes
-//! to put a snapshot under the gate.
+//! `--baseline` holds copies of the committed `BENCH_*.json` saved before
+//! the bench run (the benches overwrite them in place); `--fresh` (default
+//! `.`) the just-emitted ones. `--min PREFIX=X` (repeatable) raises the
+//! hard floor of every fresh metric named `PREFIX…` to at least `X`, and is
+//! an error when it matches none; CI passes an impossible `X` per stem to
+//! prove the gate can fail. `--list` prints one `stem file` line per
+//! tracked snapshot — CI's single source of truth for its bench steps.
 
-use mhx_bench::snapshot::{
-    compare, file_name, override_floor, parse, tracked_metrics, Metric, Verdict, STEMS, TOLERANCE,
-};
-use std::path::{Path, PathBuf};
+use mhx_bench::snapshot::{compare, file_name, load, override_floor, STEMS, TOLERANCE};
+use std::path::PathBuf;
 use std::process::ExitCode;
+
+const USAGE: &str = "bench-check --baseline <dir> [--fresh <dir>] [--min PREFIX=X]...\n\
+    bench-check --list    print the tracked `stem file` snapshot table \
+    (CI's single source of truth) and exit";
 
 struct Args {
     list: bool,
@@ -55,44 +45,13 @@ fn parse_args() -> Result<Args, String> {
                 args.mins.push((prefix, min));
             }
             "--help" | "-h" => {
-                println!(
-                    "bench-check --baseline <dir> [--fresh <dir>] [--min PREFIX=X]...\n\
-                     bench-check --list    print the tracked `stem file` snapshot table \
-                     (CI's single source of truth) and exit"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
     Ok(args)
-}
-
-fn load_metrics(dir: &Path, stem: &str) -> Result<Vec<Metric>, String> {
-    let path = dir.join(file_name(stem));
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let doc = parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    tracked_metrics(stem, &doc)
-}
-
-/// Every stem's verdicts, in [`STEMS`] order, with the `--min` floors
-/// applied to the fresh metrics.
-fn check_all(args: &Args, baseline: &Path) -> Result<Vec<Vec<Verdict>>, String> {
-    let mut out = Vec::new();
-    let mut matched = vec![0; args.mins.len()];
-    for stem in STEMS {
-        let base = load_metrics(baseline, stem).map_err(|e| format!("baseline {e}"))?;
-        let mut fresh = load_metrics(&args.fresh, stem).map_err(|e| format!("fresh {e}"))?;
-        for ((prefix, min), n) in args.mins.iter().zip(&mut matched) {
-            *n += override_floor(&mut fresh, prefix, *min);
-        }
-        out.push(compare(&base, &fresh));
-    }
-    match args.mins.iter().zip(&matched).find(|(_, &n)| n == 0) {
-        Some(((prefix, _), _)) => Err(format!("--min prefix `{prefix}` matches no tracked metric")),
-        None => Ok(out),
-    }
 }
 
 /// Runs the gate; `Err` is a usage or input error (exit 2), distinct from
@@ -106,8 +65,20 @@ fn run() -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
     let baseline = args.baseline.as_deref().ok_or("--baseline <dir> is required (or --list)")?;
+    let (mut report, mut matched) = (Vec::new(), vec![0; args.mins.len()]);
+    for stem in STEMS {
+        let base = load(baseline, stem).map_err(|e| format!("baseline {e}"))?;
+        let mut fresh = load(&args.fresh, stem).map_err(|e| format!("fresh {e}"))?;
+        for ((prefix, min), n) in args.mins.iter().zip(&mut matched) {
+            *n += override_floor(&mut fresh, prefix, *min);
+        }
+        report.push((stem, compare(&base, &fresh)));
+    }
+    if let Some(((prefix, _), _)) = args.mins.iter().zip(&matched).find(|(_, &n)| n == 0) {
+        return Err(format!("--min prefix `{prefix}` matches no tracked metric"));
+    }
     let (mut failures, mut total) = (0usize, 0usize);
-    for (stem, verdicts) in STEMS.iter().zip(check_all(&args, baseline)?) {
+    for (stem, verdicts) in report {
         println!("== {}", file_name(stem));
         for verdict in verdicts {
             println!("  {verdict}");

@@ -2,30 +2,24 @@
 //! the `bench-check` binary (the CI perf gate).
 //!
 //! Every gated bench writes `BENCH_{stem}.json` at the workspace root
-//! through [`write()`]: its own free-form members plus one uniform `gate`
-//! block, `[{"name", "value", "healthy", "hard_min"}, …]`. The bench is
-//! where each row's floors live, next to the measurement and the comment
-//! that justifies them; this module only reads the block back
-//! ([`tracked_metrics`]) and applies one rule to it ([`compare`]). Adding
-//! a gated snapshot is one stem in [`STEMS`] plus gate rows in its bench.
+//! through [`write()`]: free-form members plus one uniform `gate` block,
+//! `[{"name", "value", "healthy", "hard_min"}, …]`, whose floors the bench
+//! sets and justifies next to its measurement. This module reads the block
+//! back ([`tracked_metrics`]) and applies one rule ([`compare`]); a gated
+//! snapshot is one stem in [`STEMS`] plus gate rows in its bench.
 //!
-//! The tracked values are **ratios** (speedups, hit rates — dimensionless,
-//! so they transfer across machines far better than raw nanoseconds). A
-//! metric fails when it regresses **relative to the baseline beyond
-//! [`TOLERANCE`] AND drops below its absolute health floor** — requiring
-//! both keeps ordinary timing noise from flaking the gate (a 25% wobble
-//! on a 700× speedup is still a vastly healthy 525×) while a real
-//! regression (index stops helping, batch slower than per-node) trips both
-//! conditions at once. Below its `hard_min` (the acceptance floor) a
-//! metric fails unconditionally.
-//!
-//! The JSON layer lives in the shared std-only [`mhx_json`] crate (the
-//! `mhxd` wire format uses the same parser/writer); `parse` and [`Json`]
-//! are re-exported here so gate code and tests keep one import path.
+//! The values are dimensionless **ratios**, which transfer across machines
+//! far better than nanoseconds. A metric fails when it regresses **beyond
+//! [`TOLERANCE`] of its baseline AND below its health floor** — both, so
+//! noise does not flake the gate (a 25% wobble on a 700× speedup is still
+//! a healthy 525×) while a real regression trips both at once. Below its
+//! `hard_min` a metric fails unconditionally, and so does a row whose fresh
+//! floors sit below the baseline's: a floor drops only through an edit to
+//! the committed snapshot. JSON is [`mhx_json`]'s, re-exported here.
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 pub use mhx_json::{parse, Json};
 
@@ -67,6 +61,12 @@ impl Metric {
     }
 }
 
+/// `value` at the precision a bench reports it, exactly as `{:.places$}`
+/// prints it: a verdict near a floor must not hinge on unreported digits.
+pub fn rounded(value: f64, places: usize) -> f64 {
+    format!("{value:.places$}").parse().expect("a formatted f64 parses back")
+}
+
 /// Verdict for one metric comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Verdict {
@@ -94,18 +94,14 @@ impl fmt::Display for Verdict {
 /// A snapshot's text: `fields` followed by the `gate` block (see [`write()`]).
 fn render(fields: &str, gate: &[Metric]) -> String {
     let num = |v: f64| Json::Num(v).to_string();
-    let rows: Vec<String> = gate
-        .iter()
-        .map(|m| {
-            format!(
-                "    {{\"name\": \"{}\", \"value\": {}, \"healthy\": {}, \"hard_min\": {}}}",
-                mhx_json::escape(&m.name),
-                num(m.value),
-                num(m.healthy),
-                num(m.hard_min)
-            )
-        })
-        .collect();
+    let row = |m: &Metric| {
+        let (name, v, h, min) =
+            (mhx_json::escape(&m.name), num(m.value), num(m.healthy), num(m.hard_min));
+        format!(
+            "    {{\"name\": \"{name}\", \"value\": {v}, \"healthy\": {h}, \"hard_min\": {min}}}"
+        )
+    };
+    let rows: Vec<String> = gate.iter().map(row).collect();
     format!("{{\n{fields},\n  \"gate\": [\n{}\n  ]\n}}\n", rows.join(",\n"))
 }
 
@@ -121,6 +117,15 @@ pub fn write(stem: &str, fields: &str, gate: &[Metric]) -> PathBuf {
     let path = workspace_root().join(file_name(stem));
     std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     path
+}
+
+/// Read the gate rows of `BENCH_{stem}.json` in `dir`.
+pub fn load(dir: &Path, stem: &str) -> Result<Vec<Metric>, String> {
+    let path = dir.join(file_name(stem));
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let doc = parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    tracked_metrics(stem, &doc)
 }
 
 /// Read the `gate` block of one parsed snapshot. Errors when the block is
@@ -164,35 +169,29 @@ pub fn tracked_metrics(stem: &str, doc: &Json) -> Result<Vec<Metric>, String> {
 /// committed snapshot); fresh metrics with no baseline are reported as
 /// informational passes (they gate once committed).
 pub fn compare(baseline: &[Metric], fresh: &[Metric]) -> Vec<Verdict> {
-    let mut verdicts: Vec<Verdict> = baseline
+    let lone = |m: &Metric, missing: bool| {
+        let (baseline, fresh, detail) = if missing {
+            (m.value, f64::NAN, "metric missing from fresh snapshot")
+        } else {
+            (f64::NAN, m.value, "new metric (no baseline yet)")
+        };
+        Verdict { name: m.name.clone(), baseline, fresh, passed: !missing, detail: detail.into() }
+    };
+    let find = |set: &[Metric], name: &str| set.iter().find(|m| m.name == name).cloned();
+    let judged = baseline
         .iter()
-        .map(|base| match fresh.iter().find(|m| m.name == base.name) {
-            Some(new) => judge(base, new),
-            None => Verdict {
-                name: base.name.clone(),
-                baseline: base.value,
-                fresh: f64::NAN,
-                passed: false,
-                detail: "metric missing from fresh snapshot".into(),
-            },
-        })
-        .collect();
-    for new in fresh.iter().filter(|new| !baseline.iter().any(|m| m.name == new.name)) {
-        verdicts.push(Verdict {
-            name: new.name.clone(),
-            baseline: f64::NAN,
-            fresh: new.value,
-            passed: true,
-            detail: "new metric (no baseline yet)".into(),
-        });
-    }
-    verdicts
+        .map(|b| find(fresh, &b.name).map_or_else(|| lone(b, true), |f| judge(b, &f)));
+    let new = fresh.iter().filter(|m| find(baseline, &m.name).is_none()).map(|m| lone(m, false));
+    judged.chain(new).collect()
 }
 
 fn judge(base: &Metric, fresh: &Metric) -> Verdict {
     let floor = base.value * (1.0 - TOLERANCE);
     let (pct, healthy) = (TOLERANCE * 100.0, fresh.healthy);
-    let (passed, detail) = if fresh.value < fresh.hard_min {
+    let (passed, detail) = if fresh.healthy < base.healthy || fresh.hard_min < base.hard_min {
+        let floors = |m: &Metric| format!("{:.2}/{:.2}", m.healthy, m.hard_min);
+        (false, format!("floors {} below the baseline's {}", floors(fresh), floors(base)))
+    } else if fresh.value < fresh.hard_min {
         (false, format!("below hard minimum {:.2}", fresh.hard_min))
     } else if fresh.value >= floor {
         (true, format!("within {pct:.0}% of baseline"))
@@ -228,12 +227,8 @@ mod tests {
 
     /// Gate rows as a bench writes them, read back through the reader.
     fn read(stem: &str, rows: &[(&str, f64, f64, f64)]) -> Vec<Metric> {
-        tracked_metrics(stem, &parse(&rows_text(rows)).unwrap()).unwrap()
-    }
-
-    fn rows_text(rows: &[(&str, f64, f64, f64)]) -> String {
         let gate: Vec<Metric> = rows.iter().map(|&(n, v, h, m)| Metric::new(n, v, h, m)).collect();
-        render("  \"bench\": \"test\"", &gate)
+        tracked_metrics(stem, &parse(&render("  \"bench\": \"test\"", &gate)).unwrap()).unwrap()
     }
 
     /// Two axes-style rows: healthy 5, hard 2.
@@ -247,44 +242,113 @@ mod tests {
         )
     }
 
+    /// `(prefix, healthy, hard_min, degraded, wobbly)`: a committed row
+    /// takes the first entry prefixing its name, must carry its floors, fail
+    /// at the realistic `degraded` value and pass at `wobbly`. Degraded: an
+    /// index, kernel, cache or rewrite that stopped helping (~1x), a front
+    /// end back to worker-per-connection (parity ~0.13, the fleet capped at
+    /// 8 workers, a thread per parked connection), two shards no faster than
+    /// one node, a load slower than reparse, one wrong answer under churn.
+    const SCENARIOS: [(&str, f64, f64, f64, f64); 23] = [
+        ("axes:", 5.0, 2.0, 1.1, 6.0),
+        ("catalog:hit_rate", 0.9, 0.5, 0.3, 0.92),
+        ("catalog:compile_reduction", 2.0, 1.5, 1.0, 6.0),
+        ("batch:xfollowing::*", 2.5, 2.0, 1.2, 3.0),
+        ("batch:xpreceding::*", 2.5, 2.0, 1.2, 3.0),
+        ("batch:descendant::", 2.5, 2.0, 1.2, 3.0),
+        ("batch:", 1.0, 0.6, 0.4, 1.0),
+        ("plan:reorder_cheap_first", 1.5, 1.0, 0.8, 2.0),
+        ("plan:existential_early_exit", 25.0, 20.0, 5.0, 32.0),
+        ("plan:hoisted_pred", 5.0, 2.0, 1.0, 100.0),
+        ("plan:stats_reorder", 8.0, 4.0, 2.0, 9.0),
+        ("plan:positional_", 1.0, 0.6, 0.4, 0.95),
+        ("plan:", 2.5, 2.0, 1.1, 3.0),
+        ("serve:workers1_vs_8", 0.9, 0.7, 0.13, 0.92),
+        ("serve:keepalive_vs_fresh", 1.1, 0.9, 0.5, 1.2),
+        ("serve:prepared_vs_adhoc", 1.0, 0.7, 0.4, 1.0),
+        ("serve:active_with_idle_fleet", 0.8, 0.5, 0.3, 0.85),
+        ("serve:idle_fleet_connections", 1000.0, 1000.0, 8.0, 1000.0),
+        ("serve:idle_conns_per_extra_thread", 500.0, 100.0, 1.0, 500.0),
+        ("shard:shard2_vs_single", 1.5, 1.1, 0.95, 1.6),
+        ("shard:routed_vs_direct", 0.5, 0.3, 0.2, 0.65),
+        ("store:cold_vs_reparse", 1.3, 1.05, 0.9, 1.35),
+        ("store:over_budget_correct", 1.0, 1.0, 0.986, 1.0),
+    ];
+
     #[test]
     fn every_committed_snapshot_has_a_readable_gate_block() {
+        let mut used = BTreeSet::new();
         for stem in STEMS {
-            let path = workspace_root().join(file_name(stem));
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-            let metrics = tracked_metrics(stem, &parse(&text).unwrap()).unwrap();
+            let metrics = load(&workspace_root(), stem).unwrap();
             assert!(!metrics.is_empty(), "{stem}");
             let names: BTreeSet<&str> = metrics.iter().map(|m| m.name.as_str()).collect();
             assert_eq!(names.len(), metrics.len(), "{stem}: duplicate names");
-            for m in &metrics {
-                assert!(m.name.starts_with(&format!("{stem}:")), "{}", m.name);
-                assert!(m.value.is_finite() && m.healthy.is_finite() && m.hard_min.is_finite());
+            for row in &metrics {
+                assert!(row.name.starts_with(&format!("{stem}:")), "{}", row.name);
+                assert!(
+                    row.value.is_finite() && row.healthy.is_finite() && row.hard_min.is_finite()
+                );
+                let &(prefix, healthy, hard_min, degraded, wobbly) = SCENARIOS
+                    .iter()
+                    .find(|s| row.name.starts_with(s.0))
+                    .unwrap_or_else(|| panic!("{}: committed row without a scenario", row.name));
+                used.insert(prefix);
+                assert_eq!((row.healthy, row.hard_min), (healthy, hard_min), "{}", row.name);
+                let at = |value| judge(row, &Metric { value, ..row.clone() });
+                assert!(
+                    !at(degraded).passed && at(wobbly).passed,
+                    "{} / {}",
+                    at(degraded),
+                    at(wobbly)
+                );
+                // Below the hard floor even a matching baseline fails.
+                let low = Metric { value: degraded, ..row.clone() };
+                assert!(judge(&low, &low).detail.contains("hard minimum"), "{}", row.name);
             }
         }
+        assert_eq!(used.len(), SCENARIOS.len(), "a scenario matches no committed row");
+    }
+
+    #[test]
+    fn a_fresh_floor_below_the_baselines_fails() {
+        let base = axes(19.5, 678.3);
+        let mut fresh = base.clone();
+        (fresh[0].hard_min, fresh[1].healthy) = (1.5, 4.0);
+        let verdicts = compare(&base, &fresh);
+        assert!(verdicts.iter().all(|v| v.detail.contains("below the baseline's")), "{verdicts:?}");
+        assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
+        // Raised floors (as `--min` raises them) pass while the values clear them.
+        (fresh[0].hard_min, fresh[1].healthy) = (3.0, 6.0);
+        let verdicts = compare(&base, &fresh);
+        assert!(verdicts.iter().all(|v| v.passed), "{verdicts:?}");
     }
 
     #[test]
     fn reader_rejects_malformed_gate_blocks() {
-        let err =
-            |stem: &str, text: &str| tracked_metrics(stem, &parse(text).unwrap()).unwrap_err();
-        assert!(err("axes", r#"{"axes": []}"#).contains("missing `gate`"));
-        assert!(err("axes", r#"{"gate": {}}"#).contains("missing `gate`"));
-        assert!(err("axes", r#"{"gate": []}"#).contains("empty"));
-        let unprefixed = rows_text(&[("xfollowing:speedup", 16.0, 5.0, 2.0)]);
-        assert!(err("axes", &unprefixed).contains("prefix"));
-        // `axesx:` is not `axes:`.
-        let lookalike = rows_text(&[("axesx:speedup", 16.0, 5.0, 2.0)]);
-        assert!(err("axes", &lookalike).contains("prefix"));
-        let twice = rows_text(&[("axes:a", 16.0, 5.0, 2.0), ("axes:a", 17.0, 5.0, 2.0)]);
-        assert!(err("axes", &twice).contains("duplicate"));
-        let no_floor = r#"{"gate": [{"name": "axes:a", "value": 16.0, "healthy": 5}]}"#;
-        assert!(err("axes", no_floor).contains("hard_min"));
-        let text_value =
-            r#"{"gate": [{"name": "axes:a", "value": "16", "healthy": 5, "hard_min": 2}]}"#;
-        assert!(err("axes", text_value).contains("value"));
-        let nameless = r#"{"gate": [{"value": 16, "healthy": 5, "hard_min": 2}]}"#;
-        assert!(err("axes", nameless).contains("name"));
+        let row = |name: &str| {
+            format!(r#"{{"name": "{name}", "value": 16, "healthy": 5, "hard_min": 2}}"#)
+        };
+        let cases = [
+            (r#"{"axes": []}"#.to_string(), "missing `gate`"),
+            (r#"{"gate": {}}"#.into(), "missing `gate`"),
+            (r#"{"gate": []}"#.into(), "empty"),
+            (format!(r#"{{"gate": [{}]}}"#, row("xfollowing:speedup")), "prefix"),
+            (format!(r#"{{"gate": [{}]}}"#, row("axesx:speedup")), "prefix"), // not `axes:`
+            (format!(r#"{{"gate": [{}, {}]}}"#, row("axes:a"), row("axes:a")), "duplicate"),
+            (r#"{"gate": [{"name": "axes:a", "value": 1, "healthy": 5}]}"#.into(), "hard_min"),
+            (r#"{"gate": [{"name": "axes:a", "value": "16", "hard_min": 2}]}"#.into(), "value"),
+            (r#"{"gate": [{"value": 16, "healthy": 5, "hard_min": 2}]}"#.into(), "name"),
+        ];
+        for (text, why) in cases {
+            let err = tracked_metrics("axes", &parse(&text).unwrap()).unwrap_err();
+            assert!(err.contains(why), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn rounded_matches_the_printed_precision() {
+        assert_eq!(rounded(0.696, 2), 0.70);
+        assert_eq!((rounded(19.46, 1), rounded(0.98649, 3)), (19.5, 0.986));
     }
 
     #[test]
@@ -292,13 +356,6 @@ mod tests {
         let base = axes(19.5, 678.3);
         let verdicts = compare(&base, &base);
         assert!(verdicts.iter().all(|v| v.passed), "{verdicts:?}");
-    }
-
-    #[test]
-    fn degraded_snapshot_fails() {
-        // The index "stopped helping": speedups collapse to ~1x.
-        let verdicts = compare(&axes(19.5, 678.3), &axes(1.1, 0.9));
-        assert!(verdicts.iter().all(|v| !v.passed), "{verdicts:?}");
     }
 
     #[test]
@@ -319,42 +376,16 @@ mod tests {
         assert!(verdicts[0].detail.contains("below health floor"), "{verdicts:?}");
     }
 
-    fn batch(xfollowing: f64) -> Vec<Metric> {
-        read(
-            "batch",
-            &[
-                ("batch:xfollowing::*:wide_speedup", xfollowing, 2.5, 2.0),
-                ("batch:overlapping::*:wide_speedup", 0.99, 1.0, 0.6),
-                ("batch:descendant::s0:wide_speedup", 58.5, 2.5, 2.0),
-            ],
-        )
-    }
-
-    #[test]
-    fn hard_floor_fails_unconditionally() {
-        // Batch slower than per-node on a structurally superior step: even
-        // a matching baseline would not save it (hard_min 2.0).
-        let verdicts = compare(&batch(4100.25), &batch(1.2));
-        let failed: Vec<_> = verdicts.iter().filter(|v| !v.passed).collect();
-        assert_eq!(failed.len(), 1);
-        assert_eq!(failed[0].name, "batch:xfollowing::*:wide_speedup");
-        let verdicts = compare(&batch(1.2), &batch(1.2));
-        assert!(!verdicts[0].passed, "{verdicts:?}");
-        assert!(verdicts[0].detail.contains("hard minimum 2.00"), "{verdicts:?}");
-    }
-
     #[test]
     fn missing_metric_fails_new_metric_passes() {
-        let base = batch(4100.25);
         let fresh = read(
-            "batch",
+            "axes",
             &[
-                ("batch:xfollowing::*:wide_speedup", 4100.0, 2.5, 2.0),
-                ("batch:descendant::s0:wide_speedup", 60.0, 2.5, 2.0),
-                ("batch:brand-new::*:wide_speedup", 3.0, 2.5, 2.0),
+                ("axes:xfollowing:speedup", 19.0, 5.0, 2.0),
+                ("axes:brand-new:speedup", 3.0, 2.5, 2.0),
             ],
         );
-        let verdicts = compare(&base, &fresh);
+        let verdicts = compare(&axes(19.5, 678.3), &fresh);
         let missing = verdicts.iter().find(|v| v.name.contains("overlapping")).unwrap();
         assert!(!missing.passed);
         let new = verdicts.iter().find(|v| v.name.contains("brand-new")).unwrap();
