@@ -27,7 +27,7 @@ use mhx_bench::snapshot::{self, rounded, Metric};
 use mhx_corpus::{generate, GeneratedDoc, GeneratorConfig};
 use multihier_xquery::prelude::Catalog;
 use multihier_xquery::server::client::Client;
-use multihier_xquery::server::{BackendPool, Router, RouterConfig, Server, ServerConfig};
+use multihier_xquery::server::{BackendPool, Router, Server, ServerConfig};
 use std::hint::black_box;
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -162,7 +162,7 @@ fn shard_benches(c: &mut Criterion) {
     let doc = corpus_doc();
     let shard = boot_node(NODE_WORKERS);
     let pool = Arc::new(BackendPool::new(vec![shard.addr().to_string()], 1));
-    let router = Router::bind(Arc::clone(&pool), "127.0.0.1:0", RouterConfig::default())
+    let router = Router::bind(Arc::clone(&pool), "127.0.0.1:0", ServerConfig::default())
         .expect("bind router");
     let router_addr = router.addr().to_string();
     upload(&router_addr, &doc, &["doc".to_string()]);
@@ -192,7 +192,7 @@ fn emit_snapshot(_c: &mut Criterion) {
     // Router loops sized to the swarm: each client's long-lived
     // connection is balanced onto a loop of its own, so no client's
     // forwarded request waits behind another's.
-    let router_config = RouterConfig { workers: CLIENTS, ..RouterConfig::default() };
+    let router_config = ServerConfig { workers: CLIENTS, ..ServerConfig::default() };
     let router =
         Router::bind(Arc::clone(&pool), "127.0.0.1:0", router_config).expect("bind router");
     let router_addr = router.addr().to_string();

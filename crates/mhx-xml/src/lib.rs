@@ -4,7 +4,8 @@
 //!
 //! * [`reader`]: pull tokenizer with precise positions and entity expansion;
 //! * [`dom`]: arena DOM whose node ids are allocated in document order;
-//! * [`mod@parse`]: well-formedness-checking tree builder;
+//! * [`mod@parse`]: well-formedness-checking tree builder, which rejects
+//!   nesting deeper than [`MAX_DEPTH`];
 //! * [`serialize`]: writer with escaping and optional pretty-printing;
 //! * [`dtd`]: `<!ELEMENT>`/`<!ATTLIST>`/`<!ENTITY>` declarations, content
 //!   models compiled to Glushkov automata, and document validation.
@@ -32,7 +33,7 @@ pub mod serialize;
 
 pub use dom::{Attr, Document, Node, NodeId, NodeKind};
 pub use error::{ErrorKind, Pos, Result, XmlError};
-pub use parse::{parse, parse_with, ParseOptions};
+pub use parse::{parse, parse_with, ParseOptions, MAX_DEPTH};
 pub use serialize::{node_to_string, to_string, to_string_with, SerializeOptions};
 
 #[cfg(test)]

@@ -6,6 +6,15 @@ use crate::error::{ErrorKind, Result, XmlError};
 use crate::escape::EntityMap;
 use crate::reader::{Event, Reader};
 
+/// The deepest element nesting [`parse`] accepts; one more level is an
+/// [`XmlError`]. The builder itself is iterative, but a document's
+/// consumers (KyGODDAG construction, serialization, hierarchy export)
+/// recurse once per level, so this bounds their stack use whatever the
+/// input — an uploaded document arrives off the network. A `MAX_DEPTH`-deep
+/// document fits a 2 MiB thread stack through all of them;
+/// document-centric markup nests a few dozen levels at most.
+pub const MAX_DEPTH: usize = 1024;
+
 /// Parsing knobs.
 #[derive(Debug, Clone, Default)]
 pub struct ParseOptions {
@@ -45,6 +54,13 @@ pub fn parse_with(src: &str, opts: ParseOptions) -> Result<Document> {
                 }
             }
             Event::StartTag { name, attrs, self_closing } => {
+                // `stack` holds the open elements above the document node.
+                if stack.len() > MAX_DEPTH {
+                    return Err(XmlError::new(
+                        ErrorKind::Other(format!("elements nested deeper than {MAX_DEPTH}")),
+                        pos,
+                    ));
+                }
                 let parent = *stack.last().expect("stack never empty");
                 if parent == NodeId::DOCUMENT {
                     if root_seen {

@@ -1165,4 +1165,33 @@ mod tests {
         ));
         assert!(c.is_empty());
     }
+
+    /// A document at the XML parser's nesting limit goes through every
+    /// consumer that recurses per level on a 2 MiB stack (an event-loop
+    /// thread's); one level more is a parse error, not an overflow.
+    #[test]
+    fn a_max_depth_document_survives_every_consumer_on_a_small_stack() {
+        use mhx_xml::MAX_DEPTH;
+        let nested = |depth: usize| format!("{}x{}", "<a>".repeat(depth), "</a>".repeat(depth));
+        let on_small_stack = |f: Box<dyn FnOnce() + Send>| {
+            std::thread::Builder::new().stack_size(2 << 20).spawn(f).unwrap().join().unwrap()
+        };
+        on_small_stack(Box::new(move || {
+            let xml = nested(MAX_DEPTH);
+            assert!(mhx_xml::parse(&xml).is_ok());
+            let g = GoddagBuilder::new().hierarchy("h", xml.clone()).build().unwrap();
+            assert_eq!(mhx_goddag::export::all_hierarchies_to_xml(&g), vec![("h".into(), xml)]);
+            let c = Catalog::new();
+            c.insert("deep", g);
+            let out = c.xpath("deep", "//*").unwrap();
+            // Every element below the root, which the hierarchies share.
+            assert_eq!(out.nodes().unwrap().len(), MAX_DEPTH - 1);
+            assert!(out.serialize().starts_with("<a><a>"));
+        }));
+        on_small_stack(Box::new(move || {
+            let xml = nested(MAX_DEPTH + 1);
+            assert!(mhx_xml::parse(&xml).is_err());
+            assert!(GoddagBuilder::new().hierarchy("h", xml).build().is_err());
+        }));
+    }
 }

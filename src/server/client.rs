@@ -283,54 +283,26 @@ impl Client {
     }
 
     /// Registered document ids.
-    ///
-    /// The server reports each document as an object carrying residency
-    /// metadata; older servers sent bare id strings. Both shapes are
-    /// accepted here so the client keeps working across versions.
     pub fn documents(&mut self) -> Result<Vec<String>, ClientError> {
-        let json = self.call("GET", "/documents", None)?;
-        json.get("documents")
-            .and_then(Json::as_arr)
-            .map(|ids| {
-                ids.iter()
-                    .filter_map(|v| {
-                        v.get("id")
-                            .and_then(Json::as_str)
-                            .or_else(|| v.as_str())
-                            .map(str::to_string)
-                    })
-                    .collect()
-            })
-            .ok_or_else(|| ClientError::Protocol("documents response missing list".into()))
+        Ok(self.document_status()?.into_iter().map(|(id, _, _)| id).collect())
     }
 
     /// Registered documents with residency metadata: `(id, residency,
-    /// snapshot_bytes)` per document. Bare-string entries from older
-    /// servers are reported as resident with no snapshot.
+    /// snapshot_bytes)` per document.
     pub fn document_status(&mut self) -> Result<Vec<(String, String, u64)>, ClientError> {
         let json = self.call("GET", "/documents", None)?;
-        json.get("documents")
+        let rows = json
+            .get("documents")
             .and_then(Json::as_arr)
-            .map(|ids| {
-                ids.iter()
-                    .filter_map(|v| {
-                        if let Some(id) = v.get("id").and_then(Json::as_str) {
-                            let residency = v
-                                .get("residency")
-                                .and_then(Json::as_str)
-                                .unwrap_or("resident")
-                                .to_string();
-                            let bytes =
-                                v.get("snapshot_bytes").and_then(Json::as_f64).unwrap_or(0.0)
-                                    as u64;
-                            Some((id.to_string(), residency, bytes))
-                        } else {
-                            v.as_str().map(|id| (id.to_string(), "resident".to_string(), 0))
-                        }
-                    })
-                    .collect()
+            .ok_or_else(|| ClientError::Protocol("documents response missing list".into()))?;
+        Ok(rows
+            .iter()
+            .filter_map(|v| {
+                let id = v.get("id")?.as_str()?.to_string();
+                let residency = v.get("residency")?.as_str()?.to_string();
+                Some((id, residency, v.get("snapshot_bytes")?.as_u64()?))
             })
-            .ok_or_else(|| ClientError::Protocol("documents response missing list".into()))
+            .collect())
     }
 
     /// The raw `/stats` document (cache, eval, server, per-session rows).

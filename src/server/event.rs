@@ -8,10 +8,17 @@
 //! connection count — a thousand parked keep-alive clients cost a
 //! connection-table entry each, not a thread each — and since a loop runs
 //! one request at a time, `workers` is also the bound on concurrently
-//! executing requests.
+//! executing requests. Each complete request goes to the one protocol
+//! layer, `handler::route`, with the front end's [`Service`] (the catalog
+//! or the router) as the place it executes.
+//!
+//! Everything the loops share lives once in the [`Hub`], for both front
+//! ends: the [`ServerConfig`], the drain and shutdown-request flags, the
+//! `accepted`/`requests`/`pipelined` counters and the registry of
+//! per-connection `/stats` rows ([`ConnStats`]).
 //!
 //! On Linux each loop is raw `epoll(7)` via the same raw-libc discipline
-//! the binaries use for `signal(2)` — no tokio, no mio, offline build.
+//! as `server::signal`'s `signal(2)` — no tokio, no mio, offline build.
 //! Elsewhere a degraded tick-based poller keeps the build portable (see
 //! [`sys`]).
 //!
@@ -34,8 +41,8 @@
 //! increasing **token** (never reused, so a stale readiness event for a
 //! closed fd cannot hit a recycled connection). Each entry carries the
 //! socket, the incremental parse buffer + scan offset, the ordered output
-//! buffer, and the front end's per-connection state ([`Service::Conn`] —
-//! session pin, prepared handles, options), which never leaves the loop
+//! buffer, and the protocol's per-connection state ([`ConnState`] —
+//! document pin, prepared handles, options), which never leaves the loop
 //! and so needs neither a lock nor `Send`.
 //!
 //! ## Pipelining
@@ -51,63 +58,55 @@
 //!
 //! ## Drain
 //!
-//! Once [`Service::draining`] flips, every loop stops admitting sockets,
-//! closes idle connections within one poll interval, and keeps running
-//! until every response it owes has been *completely written* — a
-//! response in progress is never truncated. Half-received requests get
-//! the request timeout to finish (the same slow-loris bound that applies
-//! while serving), and a hard deadline backstops a peer that never reads
-//! its response.
+//! Once [`EventLoop::drain`] flips the hub's flag, every loop stops
+//! admitting sockets, closes idle connections within one poll interval,
+//! and keeps running until every response it owes has been *completely
+//! written* — a response in progress is never truncated. Half-received
+//! requests get the request timeout to finish (the same slow-loris bound
+//! that applies while serving), and a hard deadline backstops a peer that
+//! never reads its response.
 
+use crate::engine::EvalStats;
+use crate::server::handler::{self, ConnState, Service};
 use crate::server::http::{self, ParseError, Request};
-use crate::server::wire;
-use mhx_json::Json;
-use std::collections::HashMap;
+use crate::server::{wire, ServerConfig, ServerStats};
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// What the event loop needs from a front end.
-pub(crate) trait Service: Send + Sync + 'static {
-    /// Per-connection state. It lives in the owning loop's connection
-    /// table and is only ever touched by that loop's thread.
-    type Conn;
-
-    /// A connection was admitted: build its state (and count it).
-    fn connect(&self, stream: &TcpStream) -> Self::Conn;
-
-    /// Execute one complete request, inline on the loop that read it;
-    /// requests from one connection arrive here strictly one at a time.
-    fn handle(&self, conn: &mut Self::Conn, req: &Request) -> (u16, Json);
-
-    /// The connection is gone; release its state.
-    fn disconnect(&self, conn: Self::Conn);
-
-    /// True once the front end is shutting down.
-    fn draining(&self) -> bool;
-
-    /// A request was parsed while an earlier one from the same connection
-    /// was still waiting to run (i.e. the client pipelined).
-    fn note_pipelined(&self) {}
+/// One connection's `/stats` row: its request count, pinned document and
+/// evaluation counters. Registered in the [`Hub`] while the connection
+/// lives, so `/stats` on any loop can list every session.
+#[derive(Default)]
+pub(crate) struct ConnStats {
+    pub(crate) id: u64,
+    pub(crate) peer: String,
+    pub(crate) requests: AtomicU64,
+    doc: Mutex<String>,
+    eval: Mutex<EvalStats>,
 }
 
-/// The subset of the front ends' config the loops need.
-#[derive(Clone, Copy)]
-pub(crate) struct EventConfig {
-    /// `epoll_wait` timeout: bounds drain-notice latency and the timeout
-    /// sweep cadence.
-    pub(crate) poll_interval: Duration,
-    /// How long a started (half-received) request may take to arrive.
-    pub(crate) request_timeout: Duration,
-    /// Maximum request body size in bytes.
-    pub(crate) max_body: usize,
-    /// Close a keep-alive connection that has been completely idle (no
-    /// half-received request, output flushed) for this long. `None` keeps
-    /// idle connections forever.
-    pub(crate) max_idle: Option<Duration>,
+impl ConnStats {
+    pub(crate) fn set_doc(&self, doc: &str) {
+        *self.doc.lock().unwrap_or_else(PoisonError::into_inner) = doc.to_string();
+    }
+
+    pub(crate) fn doc(&self) -> String {
+        self.doc.lock().unwrap_or_else(PoisonError::into_inner).clone()
+    }
+
+    /// Fold one request's evaluation counters into the connection's.
+    pub(crate) fn add_eval(&self, stats: EvalStats) {
+        self.eval.lock().unwrap_or_else(PoisonError::into_inner).absorb(&stats);
+    }
+
+    pub(crate) fn eval(&self) -> EvalStats {
+        *self.eval.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 const TOKEN_LISTENER: u64 = 0;
@@ -136,40 +135,103 @@ struct Peer {
     live: AtomicUsize,
 }
 
-/// What every loop shares: the listener, one [`Peer`] per loop, and the
-/// accept count that rotates hand-off ties.
-struct Hub {
+/// What every loop shares: the listener, one [`Peer`] per loop, the
+/// accept count that rotates hand-off ties — and the front end's config,
+/// drain and shutdown-request flags, counters and session registry, which
+/// live here once for `mhxd` and `mhxr` alike.
+pub(crate) struct Hub {
     listener: TcpListener,
     peers: Vec<Peer>,
     accepts: AtomicUsize,
+    pub(crate) config: ServerConfig,
+    draining: AtomicBool,
+    shutdown_requested: AtomicBool,
+    accepted: AtomicU64,
+    requests: AtomicU64,
+    pipelined: AtomicU64,
+    next_conn: AtomicU64,
+    conns: Mutex<BTreeMap<u64, Arc<ConnStats>>>,
+}
+
+impl Hub {
+    /// True once [`EventLoop::drain`] ran: loops stop admitting and close
+    /// connections as soon as they owe nothing.
+    pub(crate) fn draining(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
+    }
+
+    pub(crate) fn shutdown_requested(&self) -> bool {
+        self.shutdown_requested.load(Ordering::SeqCst)
+    }
+
+    /// Ask the owner thread to shut down (a loop cannot join itself).
+    pub(crate) fn request_shutdown(&self) {
+        self.shutdown_requested.store(true, Ordering::SeqCst);
+    }
+
+    pub(crate) fn stats(&self) -> ServerStats {
+        ServerStats {
+            connections_accepted: self.accepted.load(Ordering::Relaxed),
+            requests: self.requests.load(Ordering::Relaxed),
+            pipelined_requests: self.pipelined.load(Ordering::Relaxed),
+            active_connections: self.conns.lock().unwrap_or_else(PoisonError::into_inner).len(),
+        }
+    }
+
+    /// The live connections' `/stats` rows, in connection order.
+    pub(crate) fn sessions(&self) -> Vec<Arc<ConnStats>> {
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner).values().cloned().collect()
+    }
+
+    fn register_conn(&self, stream: &TcpStream) -> Arc<ConnStats> {
+        self.accepted.fetch_add(1, Ordering::Relaxed);
+        let id = self.next_conn.fetch_add(1, Ordering::Relaxed) + 1;
+        let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".into());
+        let conn = Arc::new(ConnStats { id, peer, ..ConnStats::default() });
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner).insert(id, Arc::clone(&conn));
+        conn
+    }
 }
 
 /// Handle to the running loops.
 pub(crate) struct EventLoop {
     threads: Vec<thread::JoinHandle<()>>,
-    hub: Arc<Hub>,
+    pub(crate) hub: Arc<Hub>,
 }
 
 impl EventLoop {
-    /// Start `workers` loop threads (named `{name}-loop-{i}`) that share
-    /// the listener and accept on it themselves — no acceptor thread.
+    /// Start `config.workers` loop threads (named `{name}-loop-{i}`) that
+    /// share the listener and accept on it themselves — no acceptor
+    /// thread.
     pub(crate) fn start<S: Service>(
         listener: TcpListener,
         name: &str,
-        workers: usize,
-        cfg: EventConfig,
+        config: ServerConfig,
         service: Arc<S>,
     ) -> io::Result<EventLoop> {
         listener.set_nonblocking(true)?;
+        let workers = config.workers.max(1);
         let mut pollers = Vec::new();
         let mut peers = Vec::new();
-        for _ in 0..workers.max(1) {
+        for _ in 0..workers {
             let (mut poller, waker) = sys::Poller::new()?;
             poller.register_listener(raw_fd(&listener), TOKEN_LISTENER)?;
             pollers.push(poller);
             peers.push(Peer { inbox: Mutex::new(Vec::new()), waker, live: AtomicUsize::new(0) });
         }
-        let hub = Arc::new(Hub { listener, peers, accepts: AtomicUsize::new(0) });
+        let hub = Arc::new(Hub {
+            listener,
+            peers,
+            accepts: AtomicUsize::new(0),
+            config: ServerConfig { workers, ..config },
+            draining: AtomicBool::new(false),
+            shutdown_requested: AtomicBool::new(false),
+            accepted: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
+            pipelined: AtomicU64::new(0),
+            next_conn: AtomicU64::new(0),
+            conns: Mutex::new(BTreeMap::new()),
+        });
         let threads = pollers
             .into_iter()
             .enumerate()
@@ -187,7 +249,6 @@ impl EventLoop {
                             poller,
                             listening: true,
                             service,
-                            cfg,
                             hub,
                             conns: HashMap::new(),
                             next_token: FIRST_CONN_TOKEN,
@@ -200,10 +261,15 @@ impl EventLoop {
         Ok(EventLoop { threads, hub })
     }
 
-    /// Join every loop. The caller must have flipped its drain flag
-    /// first; the wake-up makes each loop notice immediately instead of
-    /// one poll interval later.
+    /// Flip the drain flag; the loops notice within one poll interval.
+    pub(crate) fn drain(&self) {
+        self.hub.draining.store(true, Ordering::SeqCst);
+    }
+
+    /// Drain, wake every loop so it notices at once, and join them all
+    /// once they have written every response they owe.
     pub(crate) fn shutdown(&mut self) {
+        self.drain();
         for peer in &self.hub.peers {
             peer.waker.wake();
         }
@@ -214,7 +280,7 @@ impl EventLoop {
 }
 
 /// One connection's slot in the table.
-struct ConnEntry<C> {
+struct ConnEntry<P> {
     stream: TcpStream,
     fd: i32,
     /// Unparsed inbound bytes + the head-search resume offset.
@@ -223,8 +289,8 @@ struct ConnEntry<C> {
     /// Ordered outbound bytes; `out_pos` is the flush frontier.
     out: Vec<u8>,
     out_pos: usize,
-    /// The front end's per-connection state.
-    state: C,
+    /// The protocol's per-connection state.
+    state: ConnState<P>,
     close_after_flush: bool,
     /// A protocol-error response (400/408/413) waiting behind the
     /// requests parsed before it, so ordering holds even on errors.
@@ -248,9 +314,8 @@ struct Loop<S: Service> {
     /// False while listener interest is dropped after a failed accept.
     listening: bool,
     service: Arc<S>,
-    cfg: EventConfig,
     hub: Arc<Hub>,
-    conns: HashMap<u64, ConnEntry<S::Conn>>,
+    conns: HashMap<u64, ConnEntry<S::Prepared>>,
     next_token: u64,
 }
 
@@ -259,7 +324,7 @@ impl<S: Service> Loop<S> {
         let mut events: Vec<sys::Event> = Vec::new();
         let mut drain_started: Option<Instant> = None;
         loop {
-            self.poller.wait(&mut events, self.cfg.poll_interval);
+            self.poller.wait(&mut events, self.hub.config.poll_interval);
             self.arm_listener();
             self.admit_inbox();
             for ev in events.drain(..) {
@@ -269,7 +334,7 @@ impl<S: Service> Loop<S> {
                 }
             }
             self.sweep_timeouts();
-            if self.service.draining() {
+            if self.hub.draining() {
                 let t0 = *drain_started.get_or_insert_with(Instant::now);
                 self.close_idle_for_drain();
                 if self.conns.is_empty() {
@@ -289,7 +354,7 @@ impl<S: Service> Loop<S> {
         loop {
             match self.hub.listener.accept() {
                 Ok((stream, _)) => {
-                    if self.service.draining() {
+                    if self.hub.draining() {
                         continue; // reject: drop the socket immediately
                     }
                     let target = self.least_loaded();
@@ -357,7 +422,7 @@ impl<S: Service> Loop<S> {
         let token = self.next_token;
         self.next_token += 1;
         let fd = raw_fd(&stream);
-        if self.service.draining()
+        if self.hub.draining()
             || stream.set_nonblocking(true).is_err()
             || self.poller.register(fd, token, true, false).is_err()
         {
@@ -365,7 +430,7 @@ impl<S: Service> Loop<S> {
             return;
         }
         let _ = stream.set_nodelay(true);
-        let state = self.service.connect(&stream);
+        let state = ConnState::new(self.hub.register_conn(&stream), self.service.conn_options());
         self.conns.insert(
             token,
             ConnEntry {
@@ -442,7 +507,7 @@ impl<S: Service> Loop<S> {
             && batch.len() < PIPELINE_MAX
             && entry.out.len() - entry.out_pos < OUT_MAX
         {
-            match http::try_parse(&mut entry.buf, &mut entry.scan, self.cfg.max_body) {
+            match http::try_parse(&mut entry.buf, &mut entry.scan, self.hub.config.max_body) {
                 Ok(Some(req)) => batch.push(req),
                 Ok(None) => {
                     incomplete = !entry.buf.is_empty();
@@ -469,8 +534,8 @@ impl<S: Service> Loop<S> {
             entry.scan = 0;
             entry.partial_since = None;
         }
-        for _ in 1..batch.len() {
-            self.service.note_pipelined();
+        if batch.len() > 1 {
+            self.hub.pipelined.fetch_add(batch.len() as u64 - 1, Ordering::Relaxed);
         }
         batch
     }
@@ -482,9 +547,11 @@ impl<S: Service> Loop<S> {
         let Some(entry) = self.conns.get_mut(&token) else { return false };
         let mut ran = false;
         for req in batch {
-            let (status, body) = self.service.handle(&mut entry.state, &req);
+            self.hub.requests.fetch_add(1, Ordering::Relaxed);
+            entry.state.stats.requests.fetch_add(1, Ordering::Relaxed);
+            let (status, body) = handler::route(&*self.service, &self.hub, &mut entry.state, &req);
             // Keep-alive folds the client's wish and the drain state.
-            let keep = !req.close && !self.service.draining();
+            let keep = !req.close && !self.hub.draining();
             entry.out.extend_from_slice(&http::format_response(status, &body.to_string(), keep));
             entry.last_activity = Instant::now();
             ran = true;
@@ -505,7 +572,7 @@ impl<S: Service> Loop<S> {
     /// request timeout — a byte-trickling client costs a table entry,
     /// never a loop, and not forever.
     fn sweep_timeouts(&mut self) {
-        let timeout = self.cfg.request_timeout;
+        let timeout = self.hub.config.request_timeout;
         let expired: Vec<u64> = self
             .conns
             .iter()
@@ -528,7 +595,7 @@ impl<S: Service> Loop<S> {
     /// sweep's job), output fully flushed. Rides the same poll-interval
     /// cadence as the timeout sweep.
     fn sweep_idle(&mut self) {
-        let Some(max_idle) = self.cfg.max_idle else { return };
+        let Some(max_idle) = self.hub.config.max_idle else { return };
         let idle: Vec<u64> = self
             .conns
             .iter()
@@ -625,7 +692,11 @@ impl<S: Service> Loop<S> {
     fn close_now(&mut self, token: u64) {
         if let Some(entry) = self.conns.remove(&token) {
             let _ = self.poller.deregister(entry.fd, token);
-            self.service.disconnect(entry.state);
+            self.hub
+                .conns
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .remove(&entry.state.stats.id);
             self.hub.peers[self.id].live.fetch_sub(1, Ordering::Relaxed);
             // A descriptor is about to come free: resume accepting if a
             // failed accept paused it.
@@ -644,8 +715,7 @@ fn raw_fd<T>(_t: &T) -> i32 {
 }
 
 /// Readiness backends. Linux gets the real thing — raw `epoll(7)` plus a
-/// self-pipe waker, std-only via `extern "C"` like the binaries' signal
-/// handling. Other platforms get a tick poller: every registered
+/// self-pipe waker, std-only via `extern "C"` like `server::signal`. Other platforms get a tick poller: every registered
 /// connection is reported maybe-ready each short tick and the
 /// nonblocking reads/writes discover the truth — degraded (O(conns) per
 /// tick) but correct, and it keeps the crate building everywhere.

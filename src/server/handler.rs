@@ -1,146 +1,166 @@
-//! Request handling for the daemon: the endpoint router plus the owned
-//! per-connection state (pinned document, prepared-statement table,
-//! evaluation options) that lives in its event loop's connection table.
+//! The wire protocol, once for both front ends: the route table, request
+//! validation, and the owned per-connection state (pinned document,
+//! prepared-statement table, evaluation options) that lives in its event
+//! loop's connection table. What differs between `mhxd` and `mhxr` is
+//! only *where* a validated request runs — the [`Service`] it is handed
+//! to: the daemon's [`Catalog`](crate::engine::Catalog) (`server/mod.rs`)
+//! or the router's replica sets (`router.rs`). A client therefore cannot
+//! tell them apart by status or body, only by the `/stats` sections.
 //!
 //! Endpoints (all bodies JSON, see [`super::wire`]):
 //!
 //! | method | path               | action                                    |
 //! |--------|--------------------|-------------------------------------------|
 //! | GET    | `/healthz`         | liveness probe                            |
-//! | POST   | `/query`           | ad-hoc query `{doc?, lang?, query, options?}` |
+//! | POST   | `/query`           | ad-hoc query `{doc?, lang?, query, explain?, options?}` |
 //! | POST   | `/prepare`         | compile `{lang?, query}` → `{handle}`     |
-//! | POST   | `/execute`         | run a prepared handle `{handle, doc?}`    |
+//! | POST   | `/execute`         | run a prepared handle `{handle, doc?, options?}` |
 //! | PUT    | `/documents/{id}`  | upload `{hierarchies: [{name, xml}…]}`    |
 //! | GET    | `/documents`       | list documents with residency + snapshot size |
 //! | GET    | `/stats`           | cache/eval/server/store + per-session counters |
 //! | POST   | `/shutdown`        | request graceful drain                    |
+//!
+//! A request without `doc` runs on the connection's pinned document, else
+//! on the only document there is. A request pins its document once the
+//! document could be opened, even if the query itself then fails.
 
-use crate::engine::{Catalog, EngineError, EvalStats, QueryLang, Session};
+use crate::engine::QueryLang;
+use crate::server::event::{ConnStats, Hub};
 use crate::server::http::Request;
 use crate::server::wire;
-use crate::server::{ConnStats, Shared};
-use mhx_goddag::GoddagBuilder;
 use mhx_json::Json;
 use mhx_xquery::EvalOptions;
-use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// Cap on prepared statements per connection: compiled plans held outside
 /// the LRU cache must stay bounded, mirroring the cache's own capacity.
-/// The router enforces the same cap on its own handle table.
+/// The router also keeps its pooled backend sessions under it.
 pub(crate) const MAX_PREPARED_PER_CONN: usize = 256;
 
-/// Mutable per-connection state. Owned (`'static`) so it can live in the
-/// event loop's connection table between requests: instead of
-/// holding a borrowing [`Session`] across requests, the connection pins a
-/// *document id* and opens a short-lived session per request
-/// ([`pin_session`]) — sessions are cheap handles, and the per-session
-/// evaluation counters are folded into `totals` as each one is dropped.
-pub(crate) struct ConnState {
-    /// The pinned document requests default to when they carry no `doc`.
-    doc: Option<String>,
-    prepared: Vec<crate::engine::Prepared>,
-    /// The connection's evaluation options (survive document re-pins).
-    opts: EvalOptions,
-    /// Evaluation counters accumulated across this connection's requests.
-    totals: EvalStats,
+/// A reply: status plus JSON body.
+type Reply = (u16, Json);
+
+/// Where a validated request is executed. Every method gets arguments
+/// the protocol layer has already checked; every error is a complete
+/// wire reply.
+pub(crate) trait Service: Send + Sync + 'static {
+    /// What a connection's prepared-statement table holds.
+    type Prepared;
+
+    /// The options a new connection starts with.
+    fn conn_options(&self) -> EvalOptions;
+
+    /// `GET /documents` rows `{id, residency, snapshot_bytes}`, one per
+    /// document, sorted by id.
+    fn documents(&self) -> Result<Vec<Json>, Reply>;
+
+    /// Run (or, with `explain`, render the plan of) `src` on `doc`.
+    /// `Err` means the document could not be opened, so it is not pinned.
+    fn query(
+        &self,
+        conn: &ConnStats,
+        doc: &str,
+        opts: &EvalOptions,
+        lang: QueryLang,
+        src: &str,
+        explain: bool,
+    ) -> Result<Reply, Reply>;
+
+    /// Compile `src`; `Err` is the compile failure's reply.
+    fn prepare(&self, lang: QueryLang, src: &str) -> Result<Self::Prepared, Reply>;
+
+    /// Run a prepared statement on `doc`; `Err` as for [`Service::query`].
+    fn execute(
+        &self,
+        conn: &ConnStats,
+        doc: &str,
+        opts: &EvalOptions,
+        stmt: &Self::Prepared,
+    ) -> Result<Reply, Reply>;
+
+    /// Register (or replace) document `id` from `(name, xml)` pairs.
+    fn upload(&self, id: &str, hierarchies: &[(&str, &str)]) -> Reply;
+
+    /// The `/stats` body.
+    fn stats(&self, hub: &Hub) -> Json;
 }
 
-impl ConnState {
-    pub(crate) fn new(opts: EvalOptions) -> ConnState {
-        ConnState { doc: None, prepared: Vec::new(), opts, totals: EvalStats::default() }
-    }
+/// Mutable per-connection state. Owned (`'static`) so it can live in the
+/// event loop's connection table between requests.
+pub(crate) struct ConnState<P> {
+    /// The connection's `/stats` row.
+    pub(crate) stats: Arc<ConnStats>,
+    /// The pinned document requests default to when they carry no `doc`.
+    doc: Option<String>,
+    prepared: Vec<P>,
+    /// The connection's evaluation options (survive document re-pins).
+    opts: EvalOptions,
+}
 
-    pub(crate) fn eval_stats(&self) -> EvalStats {
-        self.totals
+impl<P> ConnState<P> {
+    pub(crate) fn new(stats: Arc<ConnStats>, opts: EvalOptions) -> ConnState<P> {
+        ConnState { stats, doc: None, prepared: Vec::new(), opts }
     }
+}
+
+fn ok_body(fields: Vec<(&str, Json)>) -> Json {
+    let mut entries = vec![("ok".to_string(), Json::Bool(true))];
+    entries.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+    Json::Obj(entries)
+}
+
+fn bad_request(message: &str) -> Reply {
+    (400, wire::protocol_error_body("bad_request", message))
 }
 
 /// Route one parsed request. Runs inline on the event loop that read it,
 /// which guarantees requests from one connection arrive here serially.
-pub(crate) fn route(
-    shared: &Shared,
-    catalog: &Catalog,
-    conn: &ConnStats,
-    state: &mut ConnState,
+pub(crate) fn route<S: Service>(
+    svc: &S,
+    hub: &Hub,
+    conn: &mut ConnState<S::Prepared>,
     req: &Request,
-) -> (u16, Json) {
+) -> Reply {
     // Resolve the path first, then the method: a known path with the
     // wrong method is always a 405, without a second hand-maintained
     // list of routes that could drift.
-    let method = req.method.as_str();
-    let wrong_method =
-        || (405, wire::protocol_error_body("method_not_allowed", "wrong method for this path"));
-    match req.path.as_str() {
-        "/healthz" | "/" => match method {
-            "GET" => (200, Json::Obj(vec![("ok".into(), Json::Bool(true))])),
-            _ => wrong_method(),
-        },
-        "/query" => match method {
-            "POST" => query_endpoint(catalog, conn, state, req),
-            _ => wrong_method(),
-        },
-        "/prepare" => match method {
-            "POST" => prepare_endpoint(catalog, state, req),
-            _ => wrong_method(),
-        },
-        "/execute" => match method {
-            "POST" => execute_endpoint(catalog, conn, state, req),
-            _ => wrong_method(),
-        },
-        "/documents" => match method {
-            "GET" => {
-                let docs = catalog
-                    .document_status()
-                    .into_iter()
-                    .map(|(id, residency, bytes)| {
-                        Json::Obj(vec![
-                            ("id".into(), Json::Str(id)),
-                            ("residency".into(), Json::Str(residency.name().into())),
-                            ("snapshot_bytes".into(), Json::Num(bytes as f64)),
-                        ])
-                    })
-                    .collect();
-                (
-                    200,
-                    Json::Obj(vec![
-                        ("ok".into(), Json::Bool(true)),
-                        ("documents".into(), Json::Arr(docs)),
-                    ]),
-                )
-            }
-            _ => wrong_method(),
-        },
-        "/stats" => match method {
-            "GET" => (200, stats_body(shared, catalog)),
-            _ => wrong_method(),
-        },
-        "/shutdown" => match method {
-            "POST" => {
-                shared.shutdown_requested.store(true, Ordering::SeqCst);
-                (
-                    200,
-                    Json::Obj(vec![
-                        ("ok".into(), Json::Bool(true)),
-                        ("draining".into(), Json::Bool(true)),
-                    ]),
-                )
-            }
-            _ => wrong_method(),
-        },
-        path if path.strip_prefix("/documents/").is_some_and(|id| !id.is_empty()) => {
-            let id = path.strip_prefix("/documents/").expect("guard matched");
-            match method {
-                "PUT" => upload_endpoint(catalog, id, req),
-                _ => wrong_method(),
-            }
+    let (path, method) = (req.path.as_str(), req.method.as_str());
+    let upload_id = path.strip_prefix("/documents/").filter(|id| !id.is_empty());
+    let allowed = match path {
+        "/healthz" | "/" | "/documents" | "/stats" => "GET",
+        "/query" | "/prepare" | "/execute" | "/shutdown" => "POST",
+        _ if upload_id.is_some() => "PUT",
+        _ => {
+            return (404, wire::protocol_error_body("not_found", &format!("no route for `{path}`")))
         }
-        path => (404, wire::protocol_error_body("not_found", &format!("no route for `{path}`"))),
+    };
+    if method != allowed {
+        return (
+            405,
+            wire::protocol_error_body("method_not_allowed", "wrong method for this path"),
+        );
     }
+    let body = || body_object(req);
+    let result = match path {
+        "/healthz" | "/" => Ok((200, ok_body(vec![]))),
+        "/query" => body().and_then(|b| query(svc, conn, &b)),
+        "/prepare" => body().and_then(|b| prepare(svc, conn, &b)),
+        "/execute" => body().and_then(|b| execute(svc, conn, &b)),
+        "/documents" => {
+            svc.documents().map(|docs| (200, ok_body(vec![("documents", Json::Arr(docs))])))
+        }
+        "/stats" => Ok((200, svc.stats(hub))),
+        "/shutdown" => {
+            hub.request_shutdown();
+            Ok((200, ok_body(vec![("draining", Json::Bool(true))])))
+        }
+        _ => body().and_then(|b| upload(svc, upload_id.expect("routed as an upload"), &b)),
+    };
+    result.unwrap_or_else(|err| err)
 }
 
 /// Parse the request body as a JSON object; protocol error otherwise.
-/// Shared with the router, whose endpoints frame bodies identically.
-pub(crate) fn body_object(req: &Request) -> Result<Json, (u16, Json)> {
+fn body_object(req: &Request) -> Result<Json, Reply> {
     let text = req
         .body_str()
         .ok_or_else(|| (400, wire::protocol_error_body("bad_json", "body is not UTF-8")))?;
@@ -152,348 +172,150 @@ pub(crate) fn body_object(req: &Request) -> Result<Json, (u16, Json)> {
     Ok(json)
 }
 
-fn engine_failure(e: &EngineError) -> (u16, Json) {
-    (wire::status_for(e), wire::engine_error_body(e))
+/// The required `query` text and optional `lang` of `/query` and
+/// `/prepare`.
+fn query_fields(body: &Json) -> Result<(QueryLang, &str), Reply> {
+    let src = body
+        .get("query")
+        .and_then(Json::as_str)
+        .ok_or_else(|| bad_request("missing string field `query`"))?;
+    let lang = match body.get("lang") {
+        None => QueryLang::XQuery,
+        Some(v) => v
+            .as_str()
+            .and_then(wire::parse_lang)
+            .ok_or_else(|| bad_request("`lang` must be `xpath` or `xquery`"))?,
+    };
+    Ok((lang, src))
 }
 
-/// Resolve the request's target document: explicit `doc` field, else the
-/// connection's pinned document, else the catalog's only document.
-fn target_doc(catalog: &Catalog, state: &ConnState, body: &Json) -> Result<String, (u16, Json)> {
-    if let Some(doc) = body.get("doc") {
-        return doc.as_str().map(str::to_string).ok_or_else(|| {
-            (400, wire::protocol_error_body("bad_request", "`doc` must be a string"))
-        });
+/// Apply the request's `"options"` patch onto the connection, then
+/// resolve its document: explicit `doc` field, else the connection's
+/// pinned document, else the only document there is.
+fn options_and_doc<S: Service>(
+    svc: &S,
+    conn: &mut ConnState<S::Prepared>,
+    body: &Json,
+) -> Result<String, Reply> {
+    if let Some(options) = body.get("options") {
+        wire::apply_options(&mut conn.opts, options)
+            .map_err(|message| (400, wire::protocol_error_body("bad_options", &message)))?;
     }
-    if let Some(doc) = &state.doc {
+    if let Some(doc) = body.get("doc") {
+        return doc
+            .as_str()
+            .map(str::to_string)
+            .ok_or_else(|| bad_request("`doc` must be a string"));
+    }
+    if let Some(doc) = &conn.doc {
         return Ok(doc.clone());
     }
-    let ids = catalog.document_ids();
-    if ids.len() == 1 {
-        return Ok(ids.into_iter().next().expect("len checked"));
+    match svc.documents()?.as_slice() {
+        [only] => Ok(only.get("id").and_then(Json::as_str).unwrap_or_default().to_string()),
+        _ => Err((
+            400,
+            wire::protocol_error_body(
+                "no_document",
+                "no `doc` given, none pinned, and there is not exactly one document",
+            ),
+        )),
     }
-    Err((
-        400,
-        wire::protocol_error_body(
-            "no_document",
-            "no `doc` given, none pinned, and the catalog has several documents",
-        ),
-    ))
 }
 
-/// Open this request's session on `doc` with the connection's options,
-/// and remember the pin for later requests that omit `doc`.
-fn pin_session<'c>(
-    catalog: &'c Catalog,
-    conn: &ConnStats,
-    state: &mut ConnState,
-    doc: &str,
-) -> Result<Session<'c>, (u16, Json)> {
-    let session =
-        catalog.session(doc).map_err(|e| engine_failure(&e))?.with_options(state.opts.clone());
-    if state.doc.as_deref() != Some(doc) {
-        state.doc = Some(doc.to_string());
-        conn.set_doc(doc);
+/// Remember `doc` for later requests that omit it — once the service
+/// could open it.
+fn pin<P>(
+    conn: &mut ConnState<P>,
+    doc: String,
+    result: Result<Reply, Reply>,
+) -> Result<Reply, Reply> {
+    if result.is_ok() && conn.doc.as_deref() != Some(doc.as_str()) {
+        conn.stats.set_doc(&doc);
+        conn.doc = Some(doc);
     }
-    Ok(session)
+    result
 }
 
-/// Shared tail of `/query` and `/execute`: resolve the document, open the
-/// request's session, run `f`, fold the session's counters into the
-/// connection totals.
-fn with_session(
-    catalog: &Catalog,
-    conn: &ConnStats,
-    state: &mut ConnState,
+fn query<S: Service>(
+    svc: &S,
+    conn: &mut ConnState<S::Prepared>,
     body: &Json,
-    f: impl FnOnce(&Session<'_>, &ConnState) -> Result<crate::engine::QueryOutcome, EngineError>,
-) -> (u16, Json) {
-    if let Err(err) = apply_request_options(state, body) {
-        return err;
-    }
-    let doc = match target_doc(catalog, state, body) {
-        Ok(doc) => doc,
-        Err(err) => return err,
-    };
-    let session = match pin_session(catalog, conn, state, &doc) {
-        Ok(session) => session,
-        Err(err) => return err,
-    };
-    let result = f(&session, &*state);
-    state.totals.absorb(&session.eval_stats());
-    match result {
-        Ok(out) => (200, wire::outcome_body(&out)),
-        Err(e) => engine_failure(&e),
-    }
-}
-
-/// Apply a request's `"options"` patch onto the connection; the next
-/// [`pin_session`] picks it up.
-fn apply_request_options(state: &mut ConnState, body: &Json) -> Result<(), (u16, Json)> {
-    if let Some(options) = body.get("options") {
-        if let Err(message) = wire::apply_options(&mut state.opts, options) {
-            return Err((400, wire::protocol_error_body("bad_options", &message)));
-        }
-    }
-    Ok(())
-}
-
-fn query_endpoint(
-    catalog: &Catalog,
-    conn: &ConnStats,
-    state: &mut ConnState,
-    req: &Request,
-) -> (u16, Json) {
-    let body = match body_object(req) {
-        Ok(b) => b,
-        Err(err) => return err,
-    };
-    let Some(src) = body.get("query").and_then(Json::as_str).map(str::to_string) else {
-        return (400, wire::protocol_error_body("bad_request", "missing string field `query`"));
-    };
-    let lang = match parse_lang_field(&body) {
-        Ok(lang) => lang,
-        Err(err) => return err,
-    };
+) -> Result<Reply, Reply> {
+    let (lang, src) = query_fields(body)?;
     let explain = match body.get("explain") {
         None => false,
-        Some(v) => match v.as_bool() {
-            Some(b) => b,
-            None => {
-                return (
-                    400,
-                    wire::protocol_error_body("bad_request", "`explain` must be a boolean"),
-                );
-            }
-        },
+        Some(v) => v.as_bool().ok_or_else(|| bad_request("`explain` must be a boolean"))?,
     };
-    if explain {
-        // Same resolution flow as a real query (options patch, doc
-        // defaulting, document pin) so explain-then-query behaves
-        // identically — but the plan is rendered, not evaluated.
-        if let Err(err) = apply_request_options(state, &body) {
-            return err;
-        }
-        let doc = match target_doc(catalog, state, &body) {
-            Ok(doc) => doc,
-            Err(err) => return err,
-        };
-        if let Err(err) = pin_session(catalog, conn, state, &doc) {
-            return err;
-        }
-        return match catalog.explain(&doc, lang, &src) {
-            Ok(text) => (200, wire::explain_body(lang, &text)),
-            Err(e) => engine_failure(&e),
-        };
-    }
-    with_session(catalog, conn, state, &body, |session, _| session.query(lang, &src))
+    let doc = options_and_doc(svc, conn, body)?;
+    let result = svc.query(&conn.stats, &doc, &conn.opts, lang, src, explain);
+    pin(conn, doc, result)
 }
 
-fn parse_lang_field(body: &Json) -> Result<QueryLang, (u16, Json)> {
-    match body.get("lang") {
-        None => Ok(QueryLang::XQuery),
-        Some(v) => v.as_str().and_then(wire::parse_lang).ok_or_else(|| {
-            (400, wire::protocol_error_body("bad_request", "`lang` must be `xpath` or `xquery`"))
-        }),
-    }
-}
-
-fn prepare_endpoint(catalog: &Catalog, state: &mut ConnState, req: &Request) -> (u16, Json) {
-    let body = match body_object(req) {
-        Ok(b) => b,
-        Err(err) => return err,
-    };
-    let Some(src) = body.get("query").and_then(Json::as_str) else {
-        return (400, wire::protocol_error_body("bad_request", "missing string field `query`"));
-    };
-    let lang = match parse_lang_field(&body) {
-        Ok(lang) => lang,
-        Err(err) => return err,
-    };
-    if state.prepared.len() >= MAX_PREPARED_PER_CONN {
-        return (
+fn prepare<S: Service>(
+    svc: &S,
+    conn: &mut ConnState<S::Prepared>,
+    body: &Json,
+) -> Result<Reply, Reply> {
+    let (lang, src) = query_fields(body)?;
+    if conn.prepared.len() >= MAX_PREPARED_PER_CONN {
+        return Err((
             400,
             wire::protocol_error_body(
                 "too_many_prepared",
                 &format!("this connection already holds {MAX_PREPARED_PER_CONN} prepared queries"),
             ),
-        );
+        ));
     }
-    match catalog.prepare(lang, src) {
-        Ok(prepared) => {
-            state.prepared.push(prepared);
-            let handle = state.prepared.len() - 1;
-            (
-                200,
-                Json::Obj(vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("handle".into(), Json::Num(handle as f64)),
-                    ("lang".into(), Json::Str(lang.name().into())),
-                ]),
-            )
-        }
-        Err(e) => engine_failure(&e),
-    }
+    conn.prepared.push(svc.prepare(lang, src)?);
+    let handle = conn.prepared.len() - 1;
+    Ok((
+        200,
+        ok_body(vec![
+            ("handle", Json::Num(handle as f64)),
+            ("lang", Json::Str(lang.name().into())),
+        ]),
+    ))
 }
 
-fn execute_endpoint(
-    catalog: &Catalog,
-    conn: &ConnStats,
-    state: &mut ConnState,
-    req: &Request,
-) -> (u16, Json) {
-    let body = match body_object(req) {
-        Ok(b) => b,
-        Err(err) => return err,
-    };
-    let Some(handle) = body.get("handle").and_then(Json::as_u64) else {
-        return (400, wire::protocol_error_body("bad_request", "missing integer field `handle`"));
-    };
-    if handle as usize >= state.prepared.len() {
-        return (
+fn execute<S: Service>(
+    svc: &S,
+    conn: &mut ConnState<S::Prepared>,
+    body: &Json,
+) -> Result<Reply, Reply> {
+    let handle = body
+        .get("handle")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| bad_request("missing integer field `handle`"))?;
+    if handle as usize >= conn.prepared.len() {
+        return Err((
             404,
             wire::protocol_error_body(
                 "unknown_handle",
                 &format!("no prepared query with handle {handle} on this connection"),
             ),
-        );
+        ));
     }
-    with_session(catalog, conn, state, &body, |session, state| {
-        session.run(&state.prepared[handle as usize])
-    })
+    let doc = options_and_doc(svc, conn, body)?;
+    let result = svc.execute(&conn.stats, &doc, &conn.opts, &conn.prepared[handle as usize]);
+    pin(conn, doc, result)
 }
 
-fn upload_endpoint(catalog: &Catalog, id: &str, req: &Request) -> (u16, Json) {
-    if catalog.is_shutting_down() {
-        return engine_failure(&EngineError::ShuttingDown);
-    }
-    let body = match body_object(req) {
-        Ok(b) => b,
-        Err(err) => return err,
-    };
-    let Some(hierarchies) = body.get("hierarchies").and_then(Json::as_arr) else {
-        return (400, wire::protocol_error_body("bad_request", "missing array `hierarchies`"));
-    };
+fn upload<S: Service>(svc: &S, id: &str, body: &Json) -> Result<Reply, Reply> {
+    let hierarchies = body
+        .get("hierarchies")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| bad_request("missing array `hierarchies`"))?;
     if hierarchies.is_empty() {
-        return (400, wire::protocol_error_body("bad_request", "`hierarchies` must be non-empty"));
+        return Err(bad_request("`hierarchies` must be non-empty"));
     }
-    let mut builder = GoddagBuilder::new();
-    for h in hierarchies {
-        let (Some(name), Some(xml)) =
-            (h.get("name").and_then(Json::as_str), h.get("xml").and_then(Json::as_str))
-        else {
-            return (
-                400,
-                wire::protocol_error_body(
-                    "bad_request",
-                    "each hierarchy needs string fields `name` and `xml`",
-                ),
-            );
-        };
-        builder = builder.hierarchy(name, xml);
-    }
-    match builder.build() {
-        // `put`, not `insert`: with a data directory attached the upload
-        // is persisted before it is served (a failed write is a 500 and
-        // registers nothing).
-        Ok(goddag) => match catalog.put(id, goddag) {
-            Ok(()) => (
-                200,
-                Json::Obj(vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("id".into(), Json::Str(id.into())),
-                    ("hierarchies".into(), Json::Num(hierarchies.len() as f64)),
-                ]),
-            ),
-            Err(e) => engine_failure(&e),
-        },
-        Err(e) => engine_failure(&EngineError::from(e)),
-    }
-}
-
-fn stats_body(shared: &Shared, catalog: &Catalog) -> Json {
-    let cache = catalog.cache_stats();
-    let eval = catalog.eval_stats();
-    let sessions: Vec<Json> = shared
-        .conn_snapshot()
-        .into_iter()
-        .map(|c| {
-            Json::Obj(vec![
-                ("conn".into(), Json::Num(c.id as f64)),
-                ("peer".into(), Json::Str(c.peer)),
-                ("doc".into(), Json::Str(c.doc)),
-                ("requests".into(), Json::Num(c.requests as f64)),
-                ("batched_steps".into(), Json::Num(c.eval.batched_steps as f64)),
-                ("rewritten_steps".into(), Json::Num(c.eval.rewritten_steps as f64)),
-                ("plan_rewrites".into(), Json::Num(c.eval.plan_rewrites as f64)),
-                ("early_exit_steps".into(), Json::Num(c.eval.early_exit_steps as f64)),
-                ("hoisted_preds".into(), Json::Num(c.eval.hoisted_preds as f64)),
-                ("chain_joins".into(), Json::Num(c.eval.chain_joins as f64)),
-            ])
+    let pairs = hierarchies
+        .iter()
+        .map(|h| {
+            match (h.get("name").and_then(Json::as_str), h.get("xml").and_then(Json::as_str)) {
+                (Some(name), Some(xml)) => Ok((name, xml)),
+                _ => Err(bad_request("each hierarchy needs string fields `name` and `xml`")),
+            }
         })
-        .collect();
-    Json::Obj(vec![
-        ("ok".into(), Json::Bool(true)),
-        (
-            "cache".into(),
-            Json::Obj(vec![
-                ("hits".into(), Json::Num(cache.hits as f64)),
-                ("misses".into(), Json::Num(cache.misses as f64)),
-                ("evictions".into(), Json::Num(cache.evictions as f64)),
-                ("cross_doc_hits".into(), Json::Num(cache.cross_doc_hits as f64)),
-                ("entries".into(), Json::Num(cache.entries as f64)),
-            ]),
-        ),
-        (
-            "eval".into(),
-            Json::Obj(vec![
-                ("batched_steps".into(), Json::Num(eval.batched_steps as f64)),
-                ("rewritten_steps".into(), Json::Num(eval.rewritten_steps as f64)),
-                ("plan_rewrites".into(), Json::Num(eval.plan_rewrites as f64)),
-                ("early_exit_steps".into(), Json::Num(eval.early_exit_steps as f64)),
-                ("hoisted_preds".into(), Json::Num(eval.hoisted_preds as f64)),
-                ("chain_joins".into(), Json::Num(eval.chain_joins as f64)),
-            ]),
-        ),
-        (
-            "server".into(),
-            Json::Obj(vec![
-                ("workers".into(), Json::Num(shared.config.workers as f64)),
-                (
-                    "connections_accepted".into(),
-                    Json::Num(shared.accepted.load(Ordering::Relaxed) as f64),
-                ),
-                ("requests".into(), Json::Num(shared.requests.load(Ordering::Relaxed) as f64)),
-                (
-                    "pipelined_requests".into(),
-                    Json::Num(shared.pipelined.load(Ordering::Relaxed) as f64),
-                ),
-                ("active_connections".into(), Json::Num(sessions.len() as f64)),
-                ("sessions".into(), Json::Arr(sessions)),
-            ]),
-        ),
-        ("documents".into(), Json::Num(catalog.len() as f64)),
-        ("store".into(), store_section(catalog)),
-    ])
-}
-
-/// The `/stats` persistence section. Always present (all-zero without a
-/// data directory) so clients need no shape detection.
-fn store_section(catalog: &Catalog) -> Json {
-    let store = catalog.store_stats();
-    Json::Obj(vec![
-        ("attached".into(), Json::Bool(store.attached)),
-        (
-            "memory_budget".into(),
-            match store.budget {
-                Some(b) => Json::Num(b as f64),
-                None => Json::Null,
-            },
-        ),
-        ("loads".into(), Json::Num(store.loads as f64)),
-        ("evictions".into(), Json::Num(store.evictions as f64)),
-        ("cold_start_hits".into(), Json::Num(store.cold_start_hits as f64)),
-        ("bytes_on_disk".into(), Json::Num(store.bytes_on_disk as f64)),
-        ("resident_docs".into(), Json::Num(store.resident_docs as f64)),
-        ("resident_bytes".into(), Json::Num(store.resident_bytes as f64)),
-    ])
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(svc.upload(id, &pairs))
 }

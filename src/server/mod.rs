@@ -7,19 +7,24 @@
 //! inline on the thread that read it. Thread count is `workers`
 //! regardless of connection count, so thousands of idle keep-alive
 //! clients cost a connection-table entry each, not a thread each.
-//! Per-connection state (pinned document, per-connection
-//! [`EvalOptions`] knobs, prepared-statement handles) lives in its loop's
-//! connection table and never leaves that thread.
+//!
+//! The layers are the same for `mhxd` and for the [`router`] (`mhxr`);
+//! only the bottom one differs:
 //!
 //! ```text
 //!                      TcpListener (watched by every loop)
 //!            ┌───────────────┼───────────────┐
 //!         loop 0          loop 1    …     loop N-1    (ServerConfig::workers)
-//!   accept → hand the socket to the loop with the fewest connections
-//!   connection table: token → buffers + ConnState (doc pin, prepared,
-//!     options); parse → route → respond, inline, then flush
+//!   event.rs  accept → hand the socket to the loop with the fewest
+//!             connections; connection table: token → buffers + ConnState;
+//!             Hub: config, drain/shutdown flags, counters, /stats rows
 //!            └───────────────┼───────────────┘
-//!        Session ──► Catalog (&self queries, shared plan cache)
+//!   handler.rs  the route table + validation + ConnState (doc pin,
+//!               prepared, options): one protocol for both front ends
+//!                            │  Service (what a validated request runs on)
+//!            ┌───────────────┴───────────────┐
+//!   mod.rs  Catalog (mhxd)         router.rs  RouterCore (mhxr)
+//!     one Session per request        replica sets over pooled backends
 //! ```
 //!
 //! Requests pipeline: a loop parses ahead, execution stays serial per
@@ -30,7 +35,7 @@
 //! worker serve the engine's `&self`-query design directly — the catalog
 //! was made `Send + Sync` for exactly this.
 //!
-//! **Graceful shutdown.** [`Server::shutdown`] flips the drain flag,
+//! **Graceful shutdown.** [`Server::shutdown`] flips the hub's drain flag,
 //! [`Catalog::begin_shutdown`]s the engine (in-flight evaluations finish,
 //! new ones get 503), and wakes every loop, each of which stops admitting
 //! connections, closes idle ones within one poll interval, and completes
@@ -55,21 +60,22 @@ pub mod wire;
 
 pub use http::Request;
 pub use pool::{BackendHealth, BackendPool};
-pub use router::{Router, RouterConfig};
+pub use router::Router;
 pub use wire::{error_kind, parse_lang, status_for, WireOutcome};
 
-use crate::engine::{Catalog, EvalStats};
-use event::{EventConfig, EventLoop, Service};
+use crate::engine::{Catalog, EngineError, EvalStats, Prepared, QueryLang, QueryOutcome, Session};
+use event::{ConnStats, EventLoop, Hub};
+use handler::Service;
+use mhx_goddag::GoddagBuilder;
 use mhx_json::Json;
 use mhx_xquery::EvalOptions;
-use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Tuning knobs for [`Server::bind`].
+/// Tuning knobs for [`Server::bind`] and [`Router::bind`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Event-loop threads, each running its connections' requests inline
@@ -113,156 +119,6 @@ pub struct ServerStats {
     pub active_connections: usize,
 }
 
-/// Per-connection bookkeeping published to `/stats`: the request count,
-/// the pinned document, and the session's evaluation counters.
-pub(crate) struct ConnStats {
-    pub(crate) id: u64,
-    pub(crate) peer: String,
-    pub(crate) requests: AtomicU64,
-    doc: Mutex<String>,
-    batched_steps: AtomicU64,
-    rewritten_steps: AtomicU64,
-    plan_rewrites: AtomicU64,
-    early_exit_steps: AtomicU64,
-    hoisted_preds: AtomicU64,
-    chain_joins: AtomicU64,
-}
-
-impl ConnStats {
-    pub(crate) fn set_doc(&self, doc: &str) {
-        *self.doc.lock().unwrap_or_else(PoisonError::into_inner) = doc.to_string();
-    }
-
-    /// Publish the connection's current cumulative eval counters.
-    pub(crate) fn record_eval(&self, stats: EvalStats) {
-        self.batched_steps.store(stats.batched_steps, Ordering::Relaxed);
-        self.rewritten_steps.store(stats.rewritten_steps, Ordering::Relaxed);
-        self.plan_rewrites.store(stats.plan_rewrites, Ordering::Relaxed);
-        self.early_exit_steps.store(stats.early_exit_steps, Ordering::Relaxed);
-        self.hoisted_preds.store(stats.hoisted_preds, Ordering::Relaxed);
-        self.chain_joins.store(stats.chain_joins, Ordering::Relaxed);
-    }
-}
-
-/// A `/stats`-shaped snapshot of one connection.
-pub(crate) struct ConnSnapshot {
-    pub(crate) id: u64,
-    pub(crate) peer: String,
-    pub(crate) doc: String,
-    pub(crate) requests: u64,
-    pub(crate) eval: EvalStats,
-}
-
-/// State shared by the event loops and the [`Server`] handle.
-pub(crate) struct Shared {
-    pub(crate) catalog: Arc<Catalog>,
-    pub(crate) config: ServerConfig,
-    shutdown: AtomicBool,
-    pub(crate) shutdown_requested: AtomicBool,
-    pub(crate) accepted: AtomicU64,
-    pub(crate) requests: AtomicU64,
-    pub(crate) pipelined: AtomicU64,
-    next_conn: AtomicU64,
-    conns: Mutex<BTreeMap<u64, Arc<ConnStats>>>,
-}
-
-impl Shared {
-    pub(crate) fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn register_conn(&self, stream: &TcpStream) -> Arc<ConnStats> {
-        let id = self.next_conn.fetch_add(1, Ordering::Relaxed) + 1;
-        let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".into());
-        let conn = Arc::new(ConnStats {
-            id,
-            peer,
-            requests: AtomicU64::new(0),
-            doc: Mutex::new(String::new()),
-            batched_steps: AtomicU64::new(0),
-            rewritten_steps: AtomicU64::new(0),
-            plan_rewrites: AtomicU64::new(0),
-            early_exit_steps: AtomicU64::new(0),
-            hoisted_preds: AtomicU64::new(0),
-            chain_joins: AtomicU64::new(0),
-        });
-        self.conns.lock().unwrap_or_else(PoisonError::into_inner).insert(id, Arc::clone(&conn));
-        conn
-    }
-
-    pub(crate) fn unregister_conn(&self, id: u64) {
-        self.conns.lock().unwrap_or_else(PoisonError::into_inner).remove(&id);
-    }
-
-    pub(crate) fn conn_snapshot(&self) -> Vec<ConnSnapshot> {
-        self.conns
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .map(|c| ConnSnapshot {
-                id: c.id,
-                peer: c.peer.clone(),
-                doc: c.doc.lock().unwrap_or_else(PoisonError::into_inner).clone(),
-                requests: c.requests.load(Ordering::Relaxed),
-                eval: EvalStats {
-                    batched_steps: c.batched_steps.load(Ordering::Relaxed),
-                    rewritten_steps: c.rewritten_steps.load(Ordering::Relaxed),
-                    plan_rewrites: c.plan_rewrites.load(Ordering::Relaxed),
-                    early_exit_steps: c.early_exit_steps.load(Ordering::Relaxed),
-                    hoisted_preds: c.hoisted_preds.load(Ordering::Relaxed),
-                    chain_joins: c.chain_joins.load(Ordering::Relaxed),
-                },
-            })
-            .collect()
-    }
-}
-
-/// The daemon's [`Service`]: glues the event loops to the engine — counts
-/// connections and requests, owns the drain flag, and routes each
-/// complete request through [`handler`].
-struct ServerService {
-    shared: Arc<Shared>,
-}
-
-/// One connection's entry payload: its `/stats` row plus the handler
-/// state (document pin, prepared handles, options).
-struct ServerConn {
-    stats: Arc<ConnStats>,
-    state: handler::ConnState,
-}
-
-impl Service for ServerService {
-    type Conn = ServerConn;
-
-    fn connect(&self, stream: &TcpStream) -> ServerConn {
-        self.shared.accepted.fetch_add(1, Ordering::Relaxed);
-        let stats = self.shared.register_conn(stream);
-        let state = handler::ConnState::new(self.shared.catalog.options().clone());
-        ServerConn { stats, state }
-    }
-
-    fn handle(&self, conn: &mut ServerConn, req: &http::Request) -> (u16, Json) {
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        conn.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let out =
-            handler::route(&self.shared, &self.shared.catalog, &conn.stats, &mut conn.state, req);
-        conn.stats.record_eval(conn.state.eval_stats());
-        out
-    }
-
-    fn disconnect(&self, conn: ServerConn) {
-        self.shared.unregister_conn(conn.stats.id);
-    }
-
-    fn draining(&self) -> bool {
-        self.shared.draining()
-    }
-
-    fn note_pipelined(&self) {
-        self.shared.pipelined.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// The running daemon: a bound listener and its event loops. Dropping
 /// without [`Server::shutdown`] detaches the threads (they keep serving
 /// until the process exits) — daemons should always shut down explicitly.
@@ -287,7 +143,7 @@ impl Service for ServerService {
 /// ```
 pub struct Server {
     addr: SocketAddr,
-    shared: Arc<Shared>,
+    catalog: Arc<Catalog>,
     evloop: EventLoop,
 }
 
@@ -296,32 +152,9 @@ impl Server {
     /// `config.workers` event-loop threads.
     pub fn bind(catalog: Arc<Catalog>, addr: &str, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let workers = config.workers.max(1);
-        let shared = Arc::new(Shared {
-            catalog,
-            config: ServerConfig { workers, ..config },
-            shutdown: AtomicBool::new(false),
-            shutdown_requested: AtomicBool::new(false),
-            accepted: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            pipelined: AtomicU64::new(0),
-            next_conn: AtomicU64::new(0),
-            conns: Mutex::new(BTreeMap::new()),
-        });
-        let evloop = EventLoop::start(
-            listener,
-            "mhxd",
-            workers,
-            EventConfig {
-                poll_interval: shared.config.poll_interval,
-                request_timeout: shared.config.request_timeout,
-                max_body: shared.config.max_body,
-                max_idle: shared.config.max_idle,
-            },
-            Arc::new(ServerService { shared: Arc::clone(&shared) }),
-        )?;
-        Ok(Server { addr: local, shared, evloop })
+        let addr = listener.local_addr()?;
+        let evloop = EventLoop::start(listener, "mhxd", config, Arc::clone(&catalog))?;
+        Ok(Server { addr, catalog, evloop })
     }
 
     /// The bound address (with the real port when bound to port 0).
@@ -330,38 +163,28 @@ impl Server {
     }
 
     pub fn catalog(&self) -> &Arc<Catalog> {
-        &self.shared.catalog
+        &self.catalog
     }
 
     /// Catalog-wide default options the server was started with.
     pub fn options(&self) -> EvalOptions {
-        self.shared.catalog.options().clone()
+        self.catalog.options().clone()
     }
 
     pub fn stats(&self) -> ServerStats {
-        ServerStats {
-            connections_accepted: self.shared.accepted.load(Ordering::Relaxed),
-            requests: self.shared.requests.load(Ordering::Relaxed),
-            pipelined_requests: self.shared.pipelined.load(Ordering::Relaxed),
-            active_connections: self
-                .shared
-                .conns
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len(),
-        }
+        self.evloop.hub.stats()
     }
 
     /// True once a client posted `/shutdown` (or [`Server::request_shutdown`]
     /// ran). The owner of the `Server` is expected to poll this and call
     /// [`Server::shutdown`] — a loop thread cannot join itself.
     pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutdown_requested.load(Ordering::SeqCst)
+        self.evloop.hub.shutdown_requested()
     }
 
     /// Ask the owner loop to shut down (same effect as `POST /shutdown`).
     pub fn request_shutdown(&self) {
-        self.shared.shutdown_requested.store(true, Ordering::SeqCst);
+        self.evloop.hub.request_shutdown();
     }
 
     /// Graceful shutdown: stop accepting, drain the engine (in-flight
@@ -369,11 +192,240 @@ impl Server {
     /// threads. Returns true when the engine reached zero in-flight
     /// queries before the internal timeout.
     pub fn shutdown(mut self) -> bool {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.catalog.begin_shutdown();
+        self.evloop.drain();
+        self.catalog.begin_shutdown();
         // Every loop is woken immediately, finishes the responses it owes,
         // then exits.
         self.evloop.shutdown();
-        self.shared.catalog.drain(Duration::from_secs(30))
+        self.catalog.drain(Duration::from_secs(30))
+    }
+}
+
+fn engine_failure(e: &EngineError) -> (u16, Json) {
+    (wire::status_for(e), wire::engine_error_body(e))
+}
+
+/// Run one request in a short-lived session on `doc` with the
+/// connection's options, folding its counters into the connection's
+/// `/stats` row. `Err` when the document cannot be opened.
+fn in_session(
+    catalog: &Catalog,
+    conn: &ConnStats,
+    doc: &str,
+    opts: &EvalOptions,
+    run: impl FnOnce(&Session<'_>) -> Result<QueryOutcome, EngineError>,
+) -> Result<(u16, Json), (u16, Json)> {
+    let session = catalog.session(doc).map_err(|e| engine_failure(&e))?.with_options(opts.clone());
+    let result = run(&session);
+    conn.add_eval(session.eval_stats());
+    Ok(match result {
+        Ok(out) => (200, wire::outcome_body(&out)),
+        Err(e) => engine_failure(&e),
+    })
+}
+
+/// The daemon executes on its catalog: one short-lived [`Session`] per
+/// request, carrying the connection's options, whose evaluation
+/// counters are folded into the connection's `/stats` row.
+impl Service for Catalog {
+    type Prepared = Prepared;
+
+    fn conn_options(&self) -> EvalOptions {
+        self.options().clone()
+    }
+
+    fn documents(&self) -> Result<Vec<Json>, (u16, Json)> {
+        Ok(self
+            .document_status()
+            .into_iter()
+            .map(|(id, residency, bytes)| {
+                Json::Obj(vec![
+                    ("id".into(), Json::Str(id)),
+                    ("residency".into(), Json::Str(residency.name().into())),
+                    ("snapshot_bytes".into(), Json::Num(bytes as f64)),
+                ])
+            })
+            .collect())
+    }
+
+    fn query(
+        &self,
+        conn: &ConnStats,
+        doc: &str,
+        opts: &EvalOptions,
+        lang: QueryLang,
+        src: &str,
+        explain: bool,
+    ) -> Result<(u16, Json), (u16, Json)> {
+        if !explain {
+            return in_session(self, conn, doc, opts, |session| session.query(lang, src));
+        }
+        // Rendered, not evaluated — but the document is resolved and
+        // pinned as for a real query, so explain-then-query behaves
+        // identically.
+        self.session(doc).map_err(|e| engine_failure(&e))?;
+        Ok(match self.explain(doc, lang, src) {
+            Ok(text) => (200, wire::explain_body(lang, &text)),
+            Err(e) => engine_failure(&e),
+        })
+    }
+
+    fn prepare(&self, lang: QueryLang, src: &str) -> Result<Prepared, (u16, Json)> {
+        Catalog::prepare(self, lang, src).map_err(|e| engine_failure(&e))
+    }
+
+    fn execute(
+        &self,
+        conn: &ConnStats,
+        doc: &str,
+        opts: &EvalOptions,
+        stmt: &Prepared,
+    ) -> Result<(u16, Json), (u16, Json)> {
+        in_session(self, conn, doc, opts, |session| session.run(stmt))
+    }
+
+    fn upload(&self, id: &str, hierarchies: &[(&str, &str)]) -> (u16, Json) {
+        if self.is_shutting_down() {
+            return engine_failure(&EngineError::ShuttingDown);
+        }
+        let mut builder = GoddagBuilder::new();
+        for (name, xml) in hierarchies {
+            builder = builder.hierarchy(*name, *xml);
+        }
+        // `put`, not `insert`: with a data directory attached the upload
+        // is persisted before it is served (a failed write is a 500 and
+        // registers nothing).
+        match builder.build().map_err(EngineError::from).and_then(|g| self.put(id, g)) {
+            Ok(()) => (
+                200,
+                Json::Obj(vec![
+                    ("ok".into(), Json::Bool(true)),
+                    ("id".into(), Json::Str(id.into())),
+                    ("hierarchies".into(), Json::Num(hierarchies.len() as f64)),
+                ]),
+            ),
+            Err(e) => engine_failure(&e),
+        }
+    }
+
+    fn stats(&self, hub: &Hub) -> Json {
+        let num = |n: u64| Json::Num(n as f64);
+        let eval_fields = |e: EvalStats| {
+            vec![
+                ("batched_steps".to_string(), num(e.batched_steps)),
+                ("rewritten_steps".into(), num(e.rewritten_steps)),
+                ("plan_rewrites".into(), num(e.plan_rewrites)),
+                ("early_exit_steps".into(), num(e.early_exit_steps)),
+                ("hoisted_preds".into(), num(e.hoisted_preds)),
+                ("chain_joins".into(), num(e.chain_joins)),
+            ]
+        };
+        let sessions: Vec<Json> = hub
+            .sessions()
+            .into_iter()
+            .map(|c| {
+                let mut row = vec![
+                    ("conn".to_string(), num(c.id)),
+                    ("peer".into(), Json::Str(c.peer.clone())),
+                    ("doc".into(), Json::Str(c.doc())),
+                    ("requests".into(), num(c.requests.load(Ordering::Relaxed))),
+                ];
+                row.extend(eval_fields(c.eval()));
+                Json::Obj(row)
+            })
+            .collect();
+        let cache = self.cache_stats();
+        let server = hub.stats();
+        let store = self.store_stats();
+        Json::Obj(vec![
+            ("ok".into(), Json::Bool(true)),
+            (
+                "cache".into(),
+                Json::Obj(vec![
+                    ("hits".into(), num(cache.hits)),
+                    ("misses".into(), num(cache.misses)),
+                    ("evictions".into(), num(cache.evictions)),
+                    ("cross_doc_hits".into(), num(cache.cross_doc_hits)),
+                    ("entries".into(), num(cache.entries as u64)),
+                ]),
+            ),
+            ("eval".into(), Json::Obj(eval_fields(self.eval_stats()))),
+            (
+                "server".into(),
+                Json::Obj(vec![
+                    ("workers".into(), num(hub.config.workers as u64)),
+                    ("connections_accepted".into(), num(server.connections_accepted)),
+                    ("requests".into(), num(server.requests)),
+                    ("pipelined_requests".into(), num(server.pipelined_requests)),
+                    ("active_connections".into(), num(sessions.len() as u64)),
+                    ("sessions".into(), Json::Arr(sessions)),
+                ]),
+            ),
+            ("documents".into(), num(self.len() as u64)),
+            // Always present (all-zero without a data directory) so
+            // clients need no shape detection.
+            (
+                "store".into(),
+                Json::Obj(vec![
+                    ("attached".into(), Json::Bool(store.attached)),
+                    ("memory_budget".into(), store.budget.map_or(Json::Null, num)),
+                    ("loads".into(), num(store.loads)),
+                    ("evictions".into(), num(store.evictions)),
+                    ("cold_start_hits".into(), num(store.cold_start_hits)),
+                    ("bytes_on_disk".into(), num(store.bytes_on_disk)),
+                    ("resident_docs".into(), num(store.resident_docs)),
+                    ("resident_bytes".into(), num(store.resident_bytes)),
+                ]),
+            ),
+        ])
+    }
+}
+
+/// SIGINT/SIGTERM handling for the `mhxd` and `mhxr` owner threads:
+/// [`install`](signal::install) routes both signals into an atomic flag,
+/// [`wait`](signal::wait) polls it alongside the front end's own shutdown
+/// request. Raw libc `signal(2)` through an `extern` declaration, the same
+/// FFI discipline as the event loops' `epoll(7)`: std has no signal API
+/// and the build is offline, but every unix target links libc anyway.
+pub mod signal {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+
+    static REQUESTED: AtomicBool = AtomicBool::new(false);
+
+    /// Route SIGINT and SIGTERM into the flag [`wait`] polls. Call it
+    /// before announcing the listen address, so no signal finds the
+    /// default handler.
+    #[cfg(unix)]
+    pub fn install() {
+        extern "C" fn on_signal(_signum: i32) {
+            // Only an atomic store: async-signal-safe.
+            REQUESTED.store(true, Ordering::SeqCst);
+        }
+        extern "C" {
+            fn signal(signum: i32, handler: *const ()) -> *const ();
+        }
+        const SIGINT: i32 = 2;
+        const SIGTERM: i32 = 15;
+        // SAFETY: the handler is an async-signal-safe extern "C" fn; the
+        // raw `signal` binding matches the libc prototype on every unix
+        // target this builds for.
+        unsafe {
+            signal(SIGINT, on_signal as *const ());
+            signal(SIGTERM, on_signal as *const ());
+        }
+    }
+
+    /// Elsewhere only the shutdown request ends [`wait`].
+    #[cfg(not(unix))]
+    pub fn install() {}
+
+    /// Block until a signal arrived or `requested()` holds (a client
+    /// posted `/shutdown`). The event loops cannot join themselves, so the
+    /// owner thread waits here and then performs the shutdown.
+    pub fn wait(requested: impl Fn() -> bool) {
+        while !REQUESTED.load(Ordering::SeqCst) && !requested() {
+            std::thread::sleep(Duration::from_millis(100));
+        }
     }
 }

@@ -2,35 +2,42 @@
 //!
 //! One JSON/HTTP front end over N `mhxd` backends, speaking the *same*
 //! wire protocol clients already use — a client cannot tell a router
-//! from a single node except for the extra `/stats` sections.
+//! from a single node except for the extra `/stats` sections. The
+//! protocol itself (route table, validation, document pin, options,
+//! prepared-handle table) is `handler`'s, shared with `mhxd`; this module
+//! is only the `Service` that executes a validated request on the
+//! document's replica set instead of on a local catalog.
 //!
 //! ```text
 //!                clients (keep-alive, wire protocol)
 //!                          │
 //!               Router (mhxr, evented front end)
+//!     event loops → handler::route → RouterCore (this Service)
 //!          consistent hash on document id (BackendPool)
 //!            │                │                │
 //!         mhxd shard 0     mhxd shard 1     mhxd shard 2
 //! ```
 //!
-//! * **Routing** — `/query` and `/execute` resolve their target document
-//!   and go to its replica set ([`BackendPool::read_order`], round-robin
-//!   across replicas). `PUT /documents/{id}` walks the ring and uploads
-//!   to `--replicas K` distinct shards. Documents are immutable after
-//!   upload, so replication is re-upload + deterministic placement — no
-//!   consensus, and two routers over the same `--shard` list agree.
-//! * **Scatter/gather** — `GET /documents` unions all shards' listings;
-//!   `GET /stats` nests every shard's stats under `shards` plus a
-//!   `router` section (backend health, failover counters, the idle
-//!   backend-connection gauge).
+//! * **Routing** — `/query` and `/execute` go to their document's replica
+//!   set ([`BackendPool::read_order`], round-robin across replicas).
+//!   `PUT /documents/{id}` walks the ring and uploads to `--replicas K`
+//!   distinct shards. Documents are immutable after upload, so
+//!   replication is re-upload + deterministic placement — no consensus,
+//!   and two routers over the same `--shard` list agree.
+//! * **Scatter/gather** — `GET /documents` lists every shard's rows, one
+//!   per id (from the first shard that lists it); `GET /stats` nests every
+//!   shard's stats under `shards` plus a `router` section (backend
+//!   health, failover counters, the idle backend-connection gauge).
 //! * **Failover** — a connection error or the typed `503`/
 //!   `shutting_down` drain signal from one shard retries the next
 //!   replica; only when every replica failed does the client see an
 //!   error, and it is the distinct `502`/`bad_gateway` kind. Any other
 //!   response (including 4xx — deterministic on every replica) passes
-//!   through verbatim.
-//! * **Prepared statements** — the router keeps a per-client-connection
-//!   handle table (`ConnCore`): `/prepare` validates eagerly on one
+//!   through verbatim. One loop (`RouterCore::try_replicas`) does this
+//!   for every endpoint; each passes its per-backend exchange as a
+//!   closure.
+//! * **Prepared statements** — the connection's handle table holds
+//!   router-level statements: `/prepare` validates eagerly on one
 //!   backend, `/execute` lazily re-prepares the statement on whichever
 //!   pooled backend connection the read lands on, so handles
 //!   transparently survive failover *and* connection pooling.
@@ -49,66 +56,19 @@
 //! consequence: the wire defaults (not a backend catalog's custom
 //! defaults) are what an option-silent client gets through the router.
 
+use crate::engine::QueryLang;
 use crate::server::client::{Client, ClientError};
-use crate::server::event::{EventConfig, EventLoop, Service};
-use crate::server::handler::{body_object, MAX_PREPARED_PER_CONN};
-use crate::server::http::Request;
+use crate::server::event::{ConnStats, EventLoop, Hub};
+use crate::server::handler::{Service, MAX_PREPARED_PER_CONN};
 use crate::server::pool::BackendPool;
-use crate::server::wire;
+use crate::server::{wire, ServerConfig};
 use mhx_json::Json;
 use mhx_xquery::EvalOptions;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
-
-/// Tuning knobs for [`Router::bind`] (mirrors
-/// [`ServerConfig`](crate::server::ServerConfig)).
-#[derive(Debug, Clone)]
-pub struct RouterConfig {
-    /// Event-loop threads, each running its connections' requests inline
-    /// — so also the concurrent request execution bound (connection count
-    /// is bounded only by file descriptors).
-    pub workers: usize,
-    /// Event-loop wait timeout: bounds drain-notice latency.
-    pub poll_interval: Duration,
-    /// How long a started request may take to arrive completely.
-    pub request_timeout: Duration,
-    /// Maximum request body size in bytes.
-    pub max_body: usize,
-}
-
-impl Default for RouterConfig {
-    fn default() -> RouterConfig {
-        RouterConfig {
-            workers: 8,
-            poll_interval: Duration::from_millis(25),
-            request_timeout: Duration::from_secs(10),
-            max_body: 16 * 1024 * 1024,
-        }
-    }
-}
-
-/// State shared by the router's event loops and the [`Router`] handle.
-pub(crate) struct RouterShared {
-    core: RouterCore,
-    config: RouterConfig,
-    shutdown: AtomicBool,
-    shutdown_requested: AtomicBool,
-    accepted: AtomicU64,
-    requests: AtomicU64,
-    pipelined: AtomicU64,
-    failovers: AtomicU64,
-    re_prepares: AtomicU64,
-}
-
-impl RouterShared {
-    fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-}
 
 /// The running router: a bound listener and its event loops. Like
 /// [`Server`](crate::server::Server), dropping without
@@ -116,7 +76,7 @@ impl RouterShared {
 ///
 /// ```
 /// use multihier_xquery::prelude::*;
-/// use multihier_xquery::server::{client::Client, BackendPool, Router, RouterConfig};
+/// use multihier_xquery::server::{client::Client, BackendPool, Router};
 /// use multihier_xquery::server::{Server, ServerConfig};
 /// use std::sync::Arc;
 ///
@@ -130,7 +90,7 @@ impl RouterShared {
 ///
 /// // …fronted by a router speaking the identical wire protocol.
 /// let pool = Arc::new(BackendPool::new(vec![shard.addr().to_string()], 1));
-/// let router = Router::bind(pool, "127.0.0.1:0", RouterConfig::default()).unwrap();
+/// let router = Router::bind(pool, "127.0.0.1:0", ServerConfig::default()).unwrap();
 ///
 /// let mut client = Client::connect(&router.addr().to_string()).unwrap();
 /// let out = client.xpath("ms", "count(/descendant::w)").unwrap();
@@ -141,7 +101,7 @@ impl RouterShared {
 /// ```
 pub struct Router {
     addr: SocketAddr,
-    shared: Arc<RouterShared>,
+    core: Arc<RouterCore>,
     evloop: EventLoop,
 }
 
@@ -151,37 +111,15 @@ impl Router {
     pub fn bind(
         backends: Arc<BackendPool>,
         addr: &str,
-        config: RouterConfig,
+        config: ServerConfig,
     ) -> io::Result<Router> {
         let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let workers = config.workers.max(1);
-        let shared = Arc::new(RouterShared {
-            // The free list never needs to exceed the execution bound:
-            // at most `workers` requests hold a backend conn at once.
-            core: RouterCore::new(backends, workers),
-            config: RouterConfig { workers, ..config },
-            shutdown: AtomicBool::new(false),
-            shutdown_requested: AtomicBool::new(false),
-            accepted: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            pipelined: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            re_prepares: AtomicU64::new(0),
-        });
-        let evloop = EventLoop::start(
-            listener,
-            "mhxr",
-            workers,
-            EventConfig {
-                poll_interval: shared.config.poll_interval,
-                request_timeout: shared.config.request_timeout,
-                max_body: shared.config.max_body,
-                max_idle: None,
-            },
-            Arc::new(RouterService { shared: Arc::clone(&shared) }),
-        )?;
-        Ok(Router { addr: local, shared, evloop })
+        let addr = listener.local_addr()?;
+        // The free list never needs to exceed the execution bound: at
+        // most `workers` requests hold a backend connection at once.
+        let core = Arc::new(RouterCore::new(backends, config.workers.max(1)));
+        let evloop = EventLoop::start(listener, "mhxr", config, Arc::clone(&core))?;
+        Ok(Router { addr, core, evloop })
     }
 
     /// The bound address (with the real port when bound to port 0).
@@ -191,60 +129,25 @@ impl Router {
 
     /// The routing pool (placement + backend health).
     pub fn backends(&self) -> &Arc<BackendPool> {
-        &self.shared.core.pool
+        &self.core.pool
     }
 
     /// True once a client posted `/shutdown` (or
     /// [`Router::request_shutdown`] ran); the owner loop polls this.
     pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutdown_requested.load(Ordering::SeqCst)
+        self.evloop.hub.shutdown_requested()
     }
 
     /// Ask the owner loop to shut down (same effect as `POST /shutdown`).
     pub fn request_shutdown(&self) {
-        self.shared.shutdown_requested.store(true, Ordering::SeqCst);
+        self.evloop.hub.request_shutdown();
     }
 
     /// Graceful shutdown of the *router only*: stop accepting, complete
     /// every response in progress, join all threads. The backends keep
     /// running — draining them is their owners' job.
     pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
         self.evloop.shutdown();
-    }
-}
-
-/// The router's [`Service`]: counts connections/requests and routes each
-/// complete request through the shared [`RouterCore`].
-struct RouterService {
-    shared: Arc<RouterShared>,
-}
-
-impl Service for RouterService {
-    type Conn = ConnCore;
-
-    fn connect(&self, _stream: &TcpStream) -> ConnCore {
-        self.shared.accepted.fetch_add(1, Ordering::Relaxed);
-        ConnCore::new()
-    }
-
-    fn handle(&self, conn: &mut ConnCore, req: &Request) -> (u16, Json) {
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        let (failovers, re_prepares) = (conn.failovers, conn.re_prepares);
-        let out = route(&self.shared, conn, req);
-        self.shared.failovers.fetch_add(conn.failovers - failovers, Ordering::Relaxed);
-        self.shared.re_prepares.fetch_add(conn.re_prepares - re_prepares, Ordering::Relaxed);
-        out
-    }
-
-    fn disconnect(&self, _conn: ConnCore) {}
-
-    fn draining(&self) -> bool {
-        self.shared.draining()
-    }
-
-    fn note_pipelined(&self) {
-        self.shared.pipelined.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -266,63 +169,65 @@ struct PooledBackend {
     prepared: HashMap<String, u64>,
 }
 
-/// The router's shared backend machinery: the placement pool plus one
-/// LIFO free list of pooled connections per backend. Checkout pops (or
-/// dials); checkin pushes back **only after a clean exchange** — a
-/// transport error or drain signal drops the connection, which also
+impl PooledBackend {
+    fn connect(addr: &str) -> io::Result<PooledBackend> {
+        Ok(PooledBackend { client: Client::connect(addr)?, prepared: HashMap::new() })
+    }
+}
+
+/// The router's [`Service`]: the placement pool, one LIFO free list of
+/// pooled connections per backend, and the failover counters. Checkout
+/// pops (or dials); checkin pushes back **only after a clean exchange** —
+/// a transport error or drain signal drops the connection, which also
 /// invalidates its server-session handle table for free.
 pub(crate) struct RouterCore {
     pool: Arc<BackendPool>,
     idle: Vec<Mutex<Vec<PooledBackend>>>,
     idle_cap: usize,
-}
-
-/// Per-client-connection router state, owned by the event loop's
-/// connection table: the prepared-statement table (router handle space)
-/// and the connection's evaluation options, injected whole into every
-/// forwarded read so pooled backend sessions behave deterministically.
-pub(crate) struct ConnCore {
-    prepared: Vec<PreparedStmt>,
-    opts: EvalOptions,
-    pub(crate) failovers: u64,
-    pub(crate) re_prepares: u64,
-}
-
-impl ConnCore {
-    pub(crate) fn new() -> ConnCore {
-        ConnCore {
-            prepared: Vec::new(),
-            opts: EvalOptions::default(),
-            failovers: 0,
-            re_prepares: 0,
-        }
-    }
+    failovers: AtomicU64,
+    re_prepares: AtomicU64,
 }
 
 /// One router-level prepared statement.
-struct PreparedStmt {
-    /// The original `/prepare` body — replayed on whichever pooled
+pub(crate) struct PreparedStmt {
+    /// The canonical `/prepare` body — replayed on whichever pooled
     /// backend connection an execute lands on that has not compiled it.
     body: Json,
-    /// Canonical identity on pooled sessions (the serialized body).
+    /// Its identity on pooled sessions (the serialized body).
     key: String,
     /// Backend index that validated the statement eagerly.
     #[cfg_attr(not(test), allow(dead_code))]
     validated_on: usize,
 }
 
+/// Split a routed read's reply the way the protocol pins: the document
+/// was not opened when no replica answered, or the one that did has no
+/// such document.
+fn opened((status, json): (u16, Json)) -> Result<(u16, Json), (u16, Json)> {
+    match json.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str) {
+        Some("unknown_document" | wire::BAD_GATEWAY_KIND) => Err((status, json)),
+        _ => Ok((status, json)),
+    }
+}
+
 impl RouterCore {
     pub(crate) fn new(pool: Arc<BackendPool>, idle_cap: usize) -> RouterCore {
-        let n = pool.len();
-        RouterCore { pool, idle: (0..n).map(|_| Mutex::new(Vec::new())).collect(), idle_cap }
+        let idle = (0..pool.len()).map(|_| Mutex::new(Vec::new())).collect();
+        RouterCore {
+            pool,
+            idle,
+            idle_cap,
+            failovers: AtomicU64::new(0),
+            re_prepares: AtomicU64::new(0),
+        }
     }
 
     /// Pop an idle pooled connection to backend `i`, or dial a fresh one.
-    fn checkout(&self, i: usize) -> Result<PooledBackend, ClientError> {
-        if let Some(b) = self.idle[i].lock().unwrap_or_else(PoisonError::into_inner).pop() {
-            return Ok(b);
+    fn checkout(&self, i: usize) -> io::Result<PooledBackend> {
+        match self.idle[i].lock().unwrap_or_else(PoisonError::into_inner).pop() {
+            Some(b) => Ok(b),
+            None => PooledBackend::connect(self.pool.addr(i)),
         }
-        Ok(PooledBackend { client: Client::connect(self.pool.addr(i))?, prepared: HashMap::new() })
     }
 
     /// Return a connection after a clean exchange (dropped if the free
@@ -340,25 +245,25 @@ impl RouterCore {
         self.idle.iter().map(|l| l.lock().unwrap_or_else(PoisonError::into_inner).len()).sum()
     }
 
-    /// One uninterpreted exchange with backend `i` on a pooled
-    /// connection, with health classification: transport failures and
-    /// the drain signal become [`Attempt::Failover`] (and drop the
-    /// connection); everything else checks the connection back in and
-    /// passes through.
-    fn attempt(&self, i: usize, method: &str, path: &str, body: Option<&Json>) -> Attempt {
-        let mut backend = match self.checkout(i) {
-            Ok(b) => b,
-            Err(e) => {
-                self.pool.mark_down(i);
-                return Attempt::Failover(format!("{}: {e}", self.pool.addr(i)));
-            }
-        };
-        match backend.client.request(method, path, body) {
-            Ok((status, json)) if wire::is_drain_envelope(status, &json) => {
+    /// One `exchange` with backend `i` on a pooled connection, with health
+    /// classification: transport failures and the drain signal become
+    /// [`Attempt::Failover`] (and drop the connection); everything else
+    /// checks the connection back in and passes through.
+    fn attempt(
+        &self,
+        i: usize,
+        exchange: impl FnOnce(usize, &mut PooledBackend) -> Result<(u16, Json), ClientError>,
+    ) -> Attempt {
+        let outcome = self.checkout(i).map_err(ClientError::from).and_then(|mut backend| {
+            let reply = exchange(i, &mut backend)?;
+            Ok((backend, reply))
+        });
+        match outcome {
+            Ok((_, (status, json))) if wire::is_drain_envelope(status, &json) => {
                 self.pool.mark_draining(i);
                 Attempt::Failover(format!("{} is draining", self.pool.addr(i)))
             }
-            Ok((status, json)) => {
+            Ok((backend, (status, json))) => {
                 self.pool.mark_up(i);
                 self.checkin(i, backend);
                 Attempt::Done(status, json)
@@ -370,22 +275,19 @@ impl RouterCore {
         }
     }
 
-    /// Try `order` until one backend completes the exchange; exhausting
-    /// it is the router's own `502`/`bad_gateway`.
+    /// Run `exchange` on the backends of `order` until one completes it;
+    /// exhausting the order is the router's own `502`/`bad_gateway`.
     fn try_replicas(
         &self,
-        conn: &mut ConnCore,
         order: &[usize],
-        method: &str,
-        path: &str,
-        body: Option<&Json>,
+        mut exchange: impl FnMut(usize, &mut PooledBackend) -> Result<(u16, Json), ClientError>,
     ) -> (u16, Json) {
         let mut tried = Vec::new();
         for (k, &i) in order.iter().enumerate() {
             if k > 0 {
-                conn.failovers += 1;
+                self.failovers.fetch_add(1, Ordering::Relaxed);
             }
-            match self.attempt(i, method, path, body) {
+            match self.attempt(i, &mut exchange) {
                 Attempt::Done(status, json) => return (status, json),
                 Attempt::Failover(why) => tried.push(why),
             }
@@ -395,268 +297,179 @@ impl RouterCore {
         (502, body)
     }
 
-    /// Validate the request's `"options"` patch onto the connection —
-    /// same strictness and error shape as a single node.
-    fn patch_options(&self, conn: &mut ConnCore, body: &Json) -> Result<(), (u16, Json)> {
-        if let Some(options) = body.get("options") {
-            if let Err(message) = wire::apply_options(&mut conn.opts, options) {
-                return Err((400, wire::protocol_error_body("bad_options", &message)));
-            }
+    /// The handle pooled connection `b` (to backend `i`) holds for `stmt`,
+    /// compiling it there first if needed — on a fresh connection when
+    /// this one is at the backend's handle cap, rather than surfacing
+    /// `too_many_prepared` for a cap the client never saw. `Ok(Err(_))`
+    /// is the backend's refusal (a compile error, or the drain signal).
+    fn backend_handle(
+        &self,
+        i: usize,
+        b: &mut PooledBackend,
+        stmt: &PreparedStmt,
+    ) -> Result<Result<u64, (u16, Json)>, ClientError> {
+        if let Some(&h) = b.prepared.get(&stmt.key) {
+            return Ok(Ok(h));
         }
-        Ok(())
+        if b.prepared.len() >= MAX_PREPARED_PER_CONN {
+            *b = PooledBackend::connect(self.pool.addr(i))?;
+        }
+        let (status, json) = b.client.request("POST", "/prepare", Some(&stmt.body))?;
+        if !(200..300).contains(&status) {
+            return Ok(Err((status, json)));
+        }
+        let h = json
+            .get("handle")
+            .and_then(Json::as_u64)
+            .ok_or_else(|| ClientError::Protocol("malformed /prepare response".into()))?;
+        b.prepared.insert(stmt.key.clone(), h);
+        Ok(Ok(h))
+    }
+}
+
+impl Service for RouterCore {
+    type Prepared = PreparedStmt;
+
+    fn conn_options(&self) -> EvalOptions {
+        EvalOptions::default()
     }
 
-    /// Resolve the target document like a single node does: explicit
-    /// `doc` field, else the fleet's only document.
-    fn resolve_doc(&self, body: &Json) -> Result<String, (u16, Json)> {
-        if let Some(doc) = body.get("doc") {
-            return doc.as_str().map(str::to_string).ok_or_else(|| {
-                (400, wire::protocol_error_body("bad_request", "`doc` must be a string"))
-            });
-        }
-        let union = self.documents_union()?;
-        if union.len() == 1 {
-            return Ok(union.into_iter().next().expect("len checked"));
-        }
-        Err((
-            400,
-            wire::protocol_error_body(
-                "no_document",
-                "no `doc` given and the fleet does not hold exactly one document",
-            ),
-        ))
-    }
-
-    pub(crate) fn query(&self, conn: &mut ConnCore, body: &Json) -> (u16, Json) {
-        if let Err(err) = self.patch_options(conn, body) {
-            return err;
-        }
-        let doc = match self.resolve_doc(body) {
-            Ok(doc) => doc,
-            Err(err) => return err,
-        };
-        let order = self.pool.read_order(&doc);
-        let fwd = with_field(
-            &with_field(body, "doc", Json::Str(doc)),
-            "options",
-            wire::options_json(&conn.opts),
-        );
-        self.try_replicas(conn, &order, "POST", "/query", Some(&fwd))
-    }
-
-    pub(crate) fn prepare(&self, conn: &mut ConnCore, body: &Json) -> (u16, Json) {
-        if conn.prepared.len() >= MAX_PREPARED_PER_CONN {
-            return (
-                400,
-                wire::protocol_error_body(
-                    "too_many_prepared",
-                    &format!(
-                        "this connection already holds {MAX_PREPARED_PER_CONN} prepared queries"
-                    ),
-                ),
-            );
-        }
-        // Eager validation on one backend: compile errors surface now,
-        // exactly as on a single node.
-        let key = body.to_string();
-        let order = self.pool.any_order();
-        let mut tried = Vec::new();
-        for (k, &i) in order.iter().enumerate() {
-            if k > 0 {
-                conn.failovers += 1;
-            }
-            let mut backend = match self.checkout(i) {
-                Ok(b) => b,
-                Err(e) => {
-                    self.pool.mark_down(i);
-                    tried.push(format!("{}: {e}", self.pool.addr(i)));
-                    continue;
-                }
-            };
-            match backend.client.request("POST", "/prepare", Some(body)) {
-                Ok((status, json)) if wire::is_drain_envelope(status, &json) => {
-                    self.pool.mark_draining(i);
-                    tried.push(format!("{} is draining", self.pool.addr(i)));
-                }
-                Ok((status, json)) if (200..300).contains(&status) => {
-                    self.pool.mark_up(i);
-                    let Some(h) = json.get("handle").and_then(Json::as_u64) else {
-                        return (
-                            502,
-                            wire::bad_gateway_body("shard returned a malformed /prepare response"),
-                        );
-                    };
-                    // The compiled handle stays with this *pooled
-                    // connection* — whoever checks it out next reuses it.
-                    backend.prepared.insert(key.clone(), h);
-                    self.checkin(i, backend);
-                    let lang =
-                        json.get("lang").cloned().unwrap_or_else(|| Json::Str("xquery".into()));
-                    conn.prepared.push(PreparedStmt { body: body.clone(), key, validated_on: i });
-                    let handle = conn.prepared.len() - 1;
-                    // Same envelope as a single node, in the router's
-                    // handle space.
-                    return (
-                        200,
-                        Json::Obj(vec![
-                            ("ok".into(), Json::Bool(true)),
-                            ("handle".into(), Json::Num(handle as f64)),
-                            ("lang".into(), lang),
-                        ]),
-                    );
-                }
-                Ok((status, json)) => {
-                    self.pool.mark_up(i);
-                    self.checkin(i, backend);
-                    return (status, json);
-                }
-                Err(e) => {
-                    self.pool.mark_down(i);
-                    tried.push(format!("{}: {e}", self.pool.addr(i)));
-                }
-            }
-        }
-        let body =
-            wire::bad_gateway_body(&format!("all replicas unavailable ({})", tried.join("; ")));
-        (502, body)
-    }
-
-    pub(crate) fn execute(&self, conn: &mut ConnCore, body: &Json) -> (u16, Json) {
-        let Some(handle) = body.get("handle").and_then(Json::as_u64) else {
-            return (
-                400,
-                wire::protocol_error_body("bad_request", "missing integer field `handle`"),
-            );
-        };
-        if handle as usize >= conn.prepared.len() {
-            return (
-                404,
-                wire::protocol_error_body(
-                    "unknown_handle",
-                    &format!("no prepared query with handle {handle} on this connection"),
-                ),
-            );
-        }
-        if let Err(err) = self.patch_options(conn, body) {
-            return err;
-        }
-        let doc = match self.resolve_doc(body) {
-            Ok(doc) => doc,
-            Err(err) => return err,
-        };
-        let order = self.pool.read_order(&doc);
-        let mut tried = Vec::new();
-        for (k, &i) in order.iter().enumerate() {
-            if k > 0 {
-                conn.failovers += 1;
-            }
-            let mut backend = match self.checkout(i) {
-                Ok(b) => b,
-                Err(e) => {
-                    self.pool.mark_down(i);
-                    tried.push(format!("{}: {e}", self.pool.addr(i)));
-                    continue;
-                }
-            };
-            // Make sure this pooled connection's server session has the
-            // statement compiled; re-prepare it here if not.
-            let stmt = &conn.prepared[handle as usize];
-            let backend_handle = match backend.prepared.get(&stmt.key).copied() {
-                Some(h) => h,
-                None => {
-                    // A pooled session at its handle cap can't take one
-                    // more: start a fresh connection instead of
-                    // surfacing `too_many_prepared` for a foreign cap.
-                    if backend.prepared.len() >= MAX_PREPARED_PER_CONN {
-                        backend = match Client::connect(self.pool.addr(i)) {
-                            Ok(client) => PooledBackend { client, prepared: HashMap::new() },
-                            Err(e) => {
-                                self.pool.mark_down(i);
-                                tried.push(format!("{}: {e}", self.pool.addr(i)));
-                                continue;
-                            }
-                        };
-                    }
-                    match backend.client.request("POST", "/prepare", Some(&stmt.body)) {
-                        Ok((status, json)) if wire::is_drain_envelope(status, &json) => {
-                            self.pool.mark_draining(i);
-                            tried.push(format!("{} is draining", self.pool.addr(i)));
-                            continue;
-                        }
-                        Ok((status, json)) if (200..300).contains(&status) => {
-                            match json.get("handle").and_then(Json::as_u64) {
-                                Some(h) => {
-                                    backend.prepared.insert(stmt.key.clone(), h);
-                                    conn.re_prepares += 1;
-                                    h
-                                }
-                                None => {
-                                    tried.push(format!(
-                                        "{}: malformed /prepare response",
-                                        self.pool.addr(i)
-                                    ));
-                                    continue;
+    /// Scatter `GET /documents` to every backend and merge the rows, one
+    /// per id. Succeeds while at least one shard answers (a dead shard's
+    /// documents are on their replicas anyway when `--replicas` > 1).
+    fn documents(&self) -> Result<Vec<Json>, (u16, Json)> {
+        let mut rows = BTreeMap::new();
+        let mut any_ok = false;
+        let mut errors = Vec::new();
+        for i in 0..self.pool.len() {
+            match self.attempt(i, |_, b| b.client.request("GET", "/documents", None)) {
+                Attempt::Done(status, json) if (200..300).contains(&status) => {
+                    match json.get("documents").and_then(Json::as_arr) {
+                        Some(docs) => {
+                            any_ok = true;
+                            for row in docs {
+                                if let Some(id) = row.get("id").and_then(Json::as_str) {
+                                    rows.entry(id.to_string()).or_insert_with(|| row.clone());
                                 }
                             }
                         }
-                        // A deterministic compile rejection would fail
-                        // identically everywhere: surface it.
-                        Ok((status, json)) => {
-                            self.pool.mark_up(i);
-                            self.checkin(i, backend);
-                            return (status, json);
-                        }
-                        Err(e) => {
-                            self.pool.mark_down(i);
-                            tried.push(format!("{}: {e}", self.pool.addr(i)));
-                            continue;
-                        }
+                        None => errors.push(format!("{}: malformed /documents", self.pool.addr(i))),
                     }
                 }
-            };
-            let fwd = with_field(
-                &with_field(
-                    &with_field(body, "doc", Json::Str(doc.clone())),
-                    "handle",
-                    Json::Num(backend_handle as f64),
-                ),
-                "options",
-                wire::options_json(&conn.opts),
-            );
-            match backend.client.request("POST", "/execute", Some(&fwd)) {
-                Ok((status, json)) if wire::is_drain_envelope(status, &json) => {
-                    self.pool.mark_draining(i);
-                    tried.push(format!("{} is draining", self.pool.addr(i)));
+                Attempt::Done(status, _) => {
+                    errors.push(format!("{}: status {status}", self.pool.addr(i)));
                 }
-                Ok((status, json)) => {
-                    self.pool.mark_up(i);
-                    self.checkin(i, backend);
-                    return (status, json);
-                }
-                Err(e) => {
-                    self.pool.mark_down(i);
-                    tried.push(format!("{}: {e}", self.pool.addr(i)));
-                }
+                Attempt::Failover(why) => errors.push(why),
             }
         }
-        let body =
-            wire::bad_gateway_body(&format!("all replicas unavailable ({})", tried.join("; ")));
-        (502, body)
+        if !any_ok {
+            let message = format!("no shard answered /documents ({})", errors.join("; "));
+            return Err((502, wire::bad_gateway_body(&message)));
+        }
+        Ok(rows.into_values().collect())
+    }
+
+    fn query(
+        &self,
+        _conn: &ConnStats,
+        doc: &str,
+        opts: &EvalOptions,
+        lang: QueryLang,
+        src: &str,
+        explain: bool,
+    ) -> Result<(u16, Json), (u16, Json)> {
+        let mut fwd = vec![
+            ("doc".to_string(), Json::Str(doc.into())),
+            ("lang".into(), Json::Str(lang.name().into())),
+            ("query".into(), Json::Str(src.into())),
+            ("options".into(), wire::options_json(opts)),
+        ];
+        if explain {
+            fwd.push(("explain".into(), Json::Bool(true)));
+        }
+        let fwd = Json::Obj(fwd);
+        opened(self.try_replicas(&self.pool.read_order(doc), |_, b| {
+            b.client.request("POST", "/query", Some(&fwd))
+        }))
+    }
+
+    /// Eager validation on one backend: compile errors surface now,
+    /// exactly as on a single node. The compiled handle stays with that
+    /// *pooled connection* — whoever checks it out next reuses it.
+    fn prepare(&self, lang: QueryLang, src: &str) -> Result<PreparedStmt, (u16, Json)> {
+        let body = Json::Obj(vec![
+            ("lang".into(), Json::Str(lang.name().into())),
+            ("query".into(), Json::Str(src.into())),
+        ]);
+        let stmt = PreparedStmt { key: body.to_string(), body, validated_on: 0 };
+        let mut validated_on = None;
+        let reply = self.try_replicas(&self.pool.any_order(), |i, b| {
+            Ok(match self.backend_handle(i, b, &stmt)? {
+                Ok(_) => {
+                    validated_on = Some(i);
+                    (200, Json::Null)
+                }
+                Err(refusal) => refusal,
+            })
+        });
+        match validated_on {
+            Some(i) => Ok(PreparedStmt { validated_on: i, ..stmt }),
+            None => Err(reply),
+        }
+    }
+
+    /// Runs on whichever pooled backend connection the read lands on,
+    /// re-preparing the statement there first if that connection's server
+    /// session has not compiled it.
+    fn execute(
+        &self,
+        _conn: &ConnStats,
+        doc: &str,
+        opts: &EvalOptions,
+        stmt: &PreparedStmt,
+    ) -> Result<(u16, Json), (u16, Json)> {
+        let options = wire::options_json(opts);
+        opened(self.try_replicas(&self.pool.read_order(doc), |i, b| {
+            let cached = b.prepared.contains_key(&stmt.key);
+            let handle = match self.backend_handle(i, b, stmt)? {
+                Ok(h) => h,
+                Err(refusal) => return Ok(refusal),
+            };
+            if !cached {
+                self.re_prepares.fetch_add(1, Ordering::Relaxed);
+            }
+            let fwd = Json::Obj(vec![
+                ("doc".into(), Json::Str(doc.into())),
+                ("handle".into(), Json::Num(handle as f64)),
+                ("options".into(), options.clone()),
+            ]);
+            b.client.request("POST", "/execute", Some(&fwd))
+        }))
     }
 
     /// Upload `id` to its replica set, walking the ring past dead
     /// backends so the document still lands `replicas` times when a
     /// preferred shard is down.
-    pub(crate) fn upload(&self, conn: &mut ConnCore, id: &str, body: &Json) -> (u16, Json) {
+    fn upload(&self, id: &str, hierarchies: &[(&str, &str)]) -> (u16, Json) {
+        let items = hierarchies
+            .iter()
+            .map(|(name, xml)| {
+                Json::Obj(vec![
+                    ("name".into(), Json::Str((*name).into())),
+                    ("xml".into(), Json::Str((*xml).into())),
+                ])
+            })
+            .collect();
+        let body = Json::Obj(vec![("hierarchies".into(), Json::Arr(items))]);
+        let path = format!("/documents/{id}");
         let want = self.pool.replicas();
-        let order = self.pool.ring_order(id);
         let mut placed = Vec::new();
         let mut tried = Vec::new();
-        for &i in &order {
+        for i in self.pool.ring_order(id) {
             if placed.len() == want {
                 break;
             }
-            match self.attempt(i, "PUT", &format!("/documents/{id}"), Some(body)) {
+            match self.attempt(i, |_, b| b.client.request("PUT", &path, Some(&body))) {
                 Attempt::Done(status, _) if (200..300).contains(&status) => placed.push(i),
                 // A deterministic rejection (malformed hierarchy, bad id)
                 // would fail identically on every shard: surface it. Any
@@ -666,7 +479,7 @@ impl RouterCore {
                 Attempt::Failover(why) => tried.push(why),
             }
         }
-        conn.failovers += tried.len() as u64;
+        self.failovers.fetch_add(tried.len() as u64, Ordering::Relaxed);
         if placed.is_empty() {
             let body =
                 wire::bad_gateway_body(&format!("no shard accepted `{id}` ({})", tried.join("; ")));
@@ -686,70 +499,16 @@ impl RouterCore {
         )
     }
 
-    /// Scatter `GET /documents` to every backend and union the ids.
-    /// Succeeds while at least one shard answers (a dead shard's
-    /// documents are on their replicas anyway when `--replicas` > 1).
-    fn documents_union(&self) -> Result<BTreeSet<String>, (u16, Json)> {
-        let mut union = BTreeSet::new();
-        let mut any_ok = false;
-        let mut errors = Vec::new();
-        for i in 0..self.pool.len() {
-            match self.attempt(i, "GET", "/documents", None) {
-                Attempt::Done(status, json) if (200..300).contains(&status) => {
-                    match json.get("documents").and_then(Json::as_arr) {
-                        Some(ids) => {
-                            // Shards report objects with residency metadata;
-                            // accept bare-string ids from older backends too.
-                            union.extend(ids.iter().filter_map(|v| {
-                                v.get("id")
-                                    .and_then(Json::as_str)
-                                    .or_else(|| v.as_str())
-                                    .map(str::to_string)
-                            }));
-                            any_ok = true;
-                        }
-                        None => errors.push(format!("{}: malformed /documents", self.pool.addr(i))),
-                    }
-                }
-                Attempt::Done(status, _) => {
-                    errors.push(format!("{}: status {status}", self.pool.addr(i)));
-                }
-                Attempt::Failover(why) => errors.push(why),
-            }
-        }
-        if any_ok {
-            Ok(union)
-        } else {
-            let body = wire::bad_gateway_body(&format!(
-                "no shard answered /documents ({})",
-                errors.join("; ")
-            ));
-            Err((502, body))
-        }
-    }
-
-    pub(crate) fn documents(&self) -> (u16, Json) {
-        match self.documents_union() {
-            Ok(union) => (
-                200,
-                Json::Obj(vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("documents".into(), Json::Arr(union.into_iter().map(Json::Str).collect())),
-                ]),
-            ),
-            Err(err) => err,
-        }
-    }
-
     /// Scatter `GET /stats`, gather per-shard stats plus the router's own
     /// health/counter section and cross-shard totals.
-    fn stats(&self, shared: &RouterShared) -> (u16, Json) {
+    fn stats(&self, hub: &Hub) -> Json {
+        let num = |n: u64| Json::Num(n as f64);
         let mut shards = Vec::new();
         let mut shard_requests = 0u64;
         let mut shard_documents = 0u64;
         for i in 0..self.pool.len() {
             let addr = self.pool.addr(i).to_string();
-            match self.attempt(i, "GET", "/stats", None) {
+            match self.attempt(i, |_, b| b.client.request("GET", "/stats", None)) {
                 Attempt::Done(status, json) if (200..300).contains(&status) => {
                     shard_requests += json
                         .get("server")
@@ -777,129 +536,37 @@ impl RouterCore {
                     ("addr".into(), Json::Str(h.addr)),
                     ("healthy".into(), Json::Bool(h.healthy)),
                     ("draining".into(), Json::Bool(h.draining)),
-                    ("failures".into(), Json::Num(h.failures as f64)),
-                    ("successes".into(), Json::Num(h.successes as f64)),
+                    ("failures".into(), num(h.failures)),
+                    ("successes".into(), num(h.successes)),
                 ])
             })
             .collect();
-        (
-            200,
-            Json::Obj(vec![
-                ("ok".into(), Json::Bool(true)),
-                (
-                    "router".into(),
-                    Json::Obj(vec![
-                        ("workers".into(), Json::Num(shared.config.workers as f64)),
-                        ("replicas".into(), Json::Num(self.pool.replicas() as f64)),
-                        (
-                            "connections_accepted".into(),
-                            Json::Num(shared.accepted.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "requests".into(),
-                            Json::Num(shared.requests.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "pipelined_requests".into(),
-                            Json::Num(shared.pipelined.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "failovers".into(),
-                            Json::Num(shared.failovers.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "re_prepares".into(),
-                            Json::Num(shared.re_prepares.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "idle_backend_connections".into(),
-                            Json::Num(self.idle_connections() as f64),
-                        ),
-                        ("backends".into(), Json::Arr(backends)),
-                    ]),
-                ),
-                (
-                    "totals".into(),
-                    Json::Obj(vec![
-                        ("shard_requests".into(), Json::Num(shard_requests as f64)),
-                        ("shard_documents".into(), Json::Num(shard_documents as f64)),
-                    ]),
-                ),
-                ("shards".into(), Json::Arr(shards)),
-            ]),
-        )
-    }
-}
-
-/// Clone `body` with `field` set to `value` (replacing any existing
-/// entry) — the router rewrites `doc`, `handle`, and `options` before
-/// forwarding.
-fn with_field(body: &Json, field: &str, value: Json) -> Json {
-    let mut entries: Vec<(String, Json)> = body
-        .as_obj()
-        .map(|o| o.iter().filter(|(k, _)| k != field).cloned().collect())
-        .unwrap_or_default();
-    entries.push((field.to_string(), value));
-    Json::Obj(entries)
-}
-
-fn route(shared: &RouterShared, conn: &mut ConnCore, req: &Request) -> (u16, Json) {
-    // Path first, then method — same 405 discipline as the single-node
-    // handler.
-    let core = &shared.core;
-    let method = req.method.as_str();
-    let wrong_method =
-        || (405, wire::protocol_error_body("method_not_allowed", "wrong method for this path"));
-    let with_body = |f: &mut dyn FnMut(&Json) -> (u16, Json)| match body_object(req) {
-        Ok(body) => f(&body),
-        Err(err) => err,
-    };
-    match req.path.as_str() {
-        "/healthz" | "/" => match method {
-            "GET" => (200, Json::Obj(vec![("ok".into(), Json::Bool(true))])),
-            _ => wrong_method(),
-        },
-        "/query" => match method {
-            "POST" => with_body(&mut |body| core.query(conn, body)),
-            _ => wrong_method(),
-        },
-        "/prepare" => match method {
-            "POST" => with_body(&mut |body| core.prepare(conn, body)),
-            _ => wrong_method(),
-        },
-        "/execute" => match method {
-            "POST" => with_body(&mut |body| core.execute(conn, body)),
-            _ => wrong_method(),
-        },
-        "/documents" => match method {
-            "GET" => core.documents(),
-            _ => wrong_method(),
-        },
-        "/stats" => match method {
-            "GET" => core.stats(shared),
-            _ => wrong_method(),
-        },
-        "/shutdown" => match method {
-            "POST" => {
-                shared.shutdown_requested.store(true, Ordering::SeqCst);
-                (
-                    200,
-                    Json::Obj(vec![
-                        ("ok".into(), Json::Bool(true)),
-                        ("draining".into(), Json::Bool(true)),
-                    ]),
-                )
-            }
-            _ => wrong_method(),
-        },
-        path if path.strip_prefix("/documents/").is_some_and(|id| !id.is_empty()) => {
-            let id = path.strip_prefix("/documents/").expect("guard matched");
-            match method {
-                "PUT" => with_body(&mut |body| core.upload(conn, id, body)),
-                _ => wrong_method(),
-            }
-        }
-        path => (404, wire::protocol_error_body("not_found", &format!("no route for `{path}`"))),
+        let server = hub.stats();
+        Json::Obj(vec![
+            ("ok".into(), Json::Bool(true)),
+            (
+                "router".into(),
+                Json::Obj(vec![
+                    ("workers".into(), num(hub.config.workers as u64)),
+                    ("replicas".into(), num(self.pool.replicas() as u64)),
+                    ("connections_accepted".into(), num(server.connections_accepted)),
+                    ("requests".into(), num(server.requests)),
+                    ("pipelined_requests".into(), num(server.pipelined_requests)),
+                    ("failovers".into(), num(self.failovers.load(Ordering::Relaxed))),
+                    ("re_prepares".into(), num(self.re_prepares.load(Ordering::Relaxed))),
+                    ("idle_backend_connections".into(), num(self.idle_connections() as u64)),
+                    ("backends".into(), Json::Arr(backends)),
+                ]),
+            ),
+            (
+                "totals".into(),
+                Json::Obj(vec![
+                    ("shard_requests".into(), num(shard_requests)),
+                    ("shard_documents".into(), num(shard_documents)),
+                ]),
+            ),
+            ("shards".into(), Json::Arr(shards)),
+        ])
     }
 }
 
@@ -907,11 +574,12 @@ fn route(shared: &RouterShared, conn: &mut ConnCore, req: &Request) -> (u16, Jso
 mod tests {
     use super::*;
     use crate::engine::Catalog;
-    use crate::server::{Server, ServerConfig};
+    use crate::server::Server;
     use mhx_goddag::GoddagBuilder;
     use std::io::{Read, Write};
     use std::net::TcpListener;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     const DRAIN_BODY: &str =
         r#"{"ok":false,"error":{"kind":"shutting_down","message":"draining"}}"#;
@@ -977,11 +645,18 @@ mod tests {
         json.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str).unwrap_or("")
     }
 
-    fn query_body(doc: &str) -> Json {
-        mhx_json::parse(&format!(
-            r#"{{"doc":"{doc}","lang":"xpath","query":"count(/descendant::w)"}}"#
-        ))
-        .unwrap()
+    /// A routed `count(/descendant::w)` on `doc`, pinnable or not.
+    fn query(core: &RouterCore, doc: &str) -> (u16, Json) {
+        let opts = EvalOptions::default();
+        let conn = ConnStats::default();
+        let reply = core.query(&conn, doc, &opts, QueryLang::XPath, "count(/descendant::w)", false);
+        reply.unwrap_or_else(|not_opened| not_opened)
+    }
+
+    fn execute(core: &RouterCore, stmt: &PreparedStmt) -> (u16, Json) {
+        let opts = EvalOptions::default();
+        let reply = core.execute(&ConnStats::default(), "ms", &opts, stmt);
+        reply.unwrap_or_else(|not_opened| not_opened)
     }
 
     #[test]
@@ -990,13 +665,12 @@ mod tests {
         let (b, hits_b) = mock_backend(503, DRAIN_BODY);
         let pool = Arc::new(BackendPool::new(vec![a, b], 2));
         let core = RouterCore::new(Arc::clone(&pool), 4);
-        let mut conn = ConnCore::new();
-        let (status, json) = core.query(&mut conn, &query_body("ms"));
+        let (status, json) = query(&core, "ms");
         assert_eq!(status, 502);
         assert_eq!(error_kind_of(&json), wire::BAD_GATEWAY_KIND);
         assert_eq!(hits_a.load(Ordering::SeqCst), 1, "each replica tried exactly once");
         assert_eq!(hits_b.load(Ordering::SeqCst), 1, "each replica tried exactly once");
-        assert_eq!(conn.failovers, 1, "one retry beyond the first attempt");
+        assert_eq!(core.failovers.load(Ordering::SeqCst), 1, "one retry beyond the first attempt");
         let health = pool.health_snapshot();
         assert!(health.iter().all(|h| h.draining && !h.healthy), "both marked draining");
         assert_eq!(core.idle_connections(), 0, "drain attempts never pool their connection");
@@ -1012,14 +686,13 @@ mod tests {
         // cursor's initial rotation, i.e. the unrotated set).
         let first = pool.replica_set("ms")[0];
         let core = RouterCore::new(Arc::clone(&pool), 4);
-        let mut conn = ConnCore::new();
-        let (status, json) = core.query(&mut conn, &query_body("ms"));
+        let (status, json) = query(&core, "ms");
         assert_eq!(status, 404);
         assert_eq!(error_kind_of(&json), "unknown_document");
         let (h_first, h_other) = if first == 0 { (&hits_a, &hits_b) } else { (&hits_b, &hits_a) };
         assert_eq!(h_first.load(Ordering::SeqCst), 1, "only the first replica is asked");
         assert_eq!(h_other.load(Ordering::SeqCst), 0, "a 4xx never fails over");
-        assert_eq!(conn.failovers, 0);
+        assert_eq!(core.failovers.load(Ordering::SeqCst), 0);
         assert_eq!(core.idle_connections(), 1, "the clean exchange pooled its connection");
     }
 
@@ -1050,40 +723,37 @@ mod tests {
             shards.iter().map(|s| s.as_ref().unwrap().addr().to_string()).collect();
         let pool = Arc::new(BackendPool::new(addrs, 2));
         let core = RouterCore::new(Arc::clone(&pool), 4);
-        let mut conn = ConnCore::new();
 
-        let prep = mhx_json::parse(r#"{"lang":"xpath","query":"count(/descendant::w)"}"#).unwrap();
-        let (status, json) = core.prepare(&mut conn, &prep);
-        assert_eq!(status, 200, "{json}");
-        assert_eq!(json.get("handle").and_then(Json::as_u64), Some(0), "router handle space");
+        let prepare = || core.prepare(QueryLang::XPath, "count(/descendant::w)");
+        let stmt = prepare().unwrap_or_else(|(status, json)| panic!("{status} {json}"));
 
         // Kill the one backend that validated the statement before any
         // execute: every execute path must now transparently re-prepare
         // on the surviving replica's pooled connection.
-        let owner = conn.prepared[0].validated_on;
-        assert_eq!(conn.re_prepares, 0, "the eager prepare is not a re-prepare");
+        let owner = stmt.validated_on;
+        let re_prepares = || core.re_prepares.load(Ordering::SeqCst);
+        assert_eq!(re_prepares(), 0, "the eager prepare is not a re-prepare");
         shards[owner].take().unwrap().shutdown();
 
-        let exec = mhx_json::parse(r#"{"handle":0,"doc":"ms"}"#).unwrap();
-        let (status, json) = core.execute(&mut conn, &exec);
+        let (status, json) = execute(&core, &stmt);
         assert_eq!(status, 200, "{json}");
         assert_eq!(json.get("serialized").and_then(Json::as_str), Some("2"));
-        assert!(conn.re_prepares >= 1, "the statement was re-prepared after failover");
+        assert!(re_prepares() >= 1, "the statement was re-prepared after failover");
 
         // And the re-prepared handle stays with the pooled connection: a
         // second execute reuses it.
-        let re_prepares = conn.re_prepares;
-        let (status, json) = core.execute(&mut conn, &exec);
+        let before = re_prepares();
+        let (status, json) = execute(&core, &stmt);
         assert_eq!(status, 200, "{json}");
         assert_eq!(json.get("serialized").and_then(Json::as_str), Some("2"));
-        assert_eq!(conn.re_prepares, re_prepares, "handle cached on the survivor's connection");
+        assert_eq!(re_prepares(), before, "handle cached on the survivor's connection");
 
         // A *different* client connection through the same core also
         // reuses the pooled statement — the handle table travels with
         // the backend connection, not the client.
-        let mut other = ConnCore::new();
-        let (status, json) = core.prepare(&mut other, &prep);
-        assert_eq!(status, 200, "{json}");
+        if let Err((status, json)) = prepare() {
+            panic!("{status} {json}");
+        }
 
         for s in shards.into_iter().flatten() {
             s.shutdown();
@@ -1096,12 +766,8 @@ mod tests {
         let addrs: Vec<String> = shards.iter().map(|s| s.addr().to_string()).collect();
         let pool = Arc::new(BackendPool::new(addrs, 2));
         let core = RouterCore::new(Arc::clone(&pool), 4);
-        let mut conn = ConnCore::new();
 
-        let upload =
-            mhx_json::parse(r#"{"hierarchies":[{"name":"w","xml":"<r><w>a</w><w>b</w></r>"}]}"#)
-                .unwrap();
-        let (status, json) = core.upload(&mut conn, "novel", &upload);
+        let (status, json) = core.upload("novel", &[("w", "<r><w>a</w><w>b</w></r>")]);
         assert_eq!(status, 200, "{json}");
         assert_eq!(json.get("replicas").and_then(Json::as_u64), Some(2));
         for shard in &shards {
@@ -1110,12 +776,10 @@ mod tests {
                 "every shard holds its replica"
             );
         }
-        let (status, json) = core.documents();
-        assert_eq!(status, 200);
-        let ids = json.get("documents").and_then(Json::as_arr).unwrap();
-        assert_eq!(ids.len(), 1, "replicas merge to one id: {json}");
+        let ids = core.documents().unwrap_or_else(|(status, json)| panic!("{status} {json}"));
+        assert_eq!(ids.len(), 1, "replicas merge to one id: {ids:?}");
 
-        let (status, json) = core.query(&mut conn, &query_body("novel"));
+        let (status, json) = query(&core, "novel");
         assert_eq!(status, 200, "{json}");
         assert_eq!(json.get("serialized").and_then(Json::as_str), Some("2"));
 

@@ -231,11 +231,11 @@ fn engine_errors_map_to_typed_statuses() {
 /// from one backend's retryable `503`/`shutting_down` drain signal.
 #[test]
 fn router_maps_exhausted_replicas_to_bad_gateway() {
-    use multihier_xquery::server::{BackendPool, Router, RouterConfig};
+    use multihier_xquery::server::{BackendPool, Router};
 
     let server = boot(2);
     let pool = Arc::new(BackendPool::new(vec![server.addr().to_string()], 1));
-    let router = Router::bind(pool, "127.0.0.1:0", RouterConfig::default()).unwrap();
+    let router = Router::bind(pool, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut via_router = Client::connect(&router.addr().to_string()).unwrap();
 
     // Pass-through: a routed query answers exactly like a direct one…

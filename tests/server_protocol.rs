@@ -342,6 +342,32 @@ fn a_deeply_nested_json_body_is_bad_json_and_the_daemon_answers_the_next_request
     assert!(server.shutdown());
 }
 
+#[test]
+fn a_deeply_nested_xml_upload_is_a_document_error_and_the_daemon_answers_the_next_connection() {
+    let server = boot(quick_config(2));
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    // ~700 KB: far under `max_body`, far over `mhx_xml::MAX_DEPTH`.
+    let depth = 100_000;
+    let xml = format!("{}x{}", "<a>".repeat(depth), "</a>".repeat(depth));
+    let body = Json::Obj(vec![(
+        "hierarchies".into(),
+        Json::Arr(vec![Json::Obj(vec![
+            ("name".into(), Json::Str("h".into())),
+            ("xml".into(), Json::Str(xml)),
+        ])]),
+    )]);
+    let (status, reply) = client.request("PUT", "/documents/x", Some(&body)).unwrap();
+    assert_eq!(status, 400, "{reply}");
+    let kind = reply.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str);
+    assert_eq!(kind, Some("document"), "{reply}");
+    // The daemon survived: a new connection gets a normal answer, and
+    // nothing was registered.
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    assert_eq!(client.xquery("ms", "count(//w)").unwrap().serialized, "3");
+    assert_eq!(client.documents().unwrap(), vec!["ms".to_string()]);
+    assert!(server.shutdown());
+}
+
 /// Held by the tests that time CPU-bound queries against each other, so
 /// that on a small machine they do not measure one another's load.
 static CPU_TIMED: Mutex<()> = Mutex::new(());
